@@ -19,13 +19,15 @@ from typing import Sequence
 from . import asymptotics, counting, graphs, spectral
 from .asymptotics import CSV_COLUMNS, CountReport, ExperimentConfig
 from .errors import OrthocountError
+from .fields import field_from_order
 from .vectors import parse_vector
 
 
-def _max_vertices() -> int:
+def _max_vertices(default: int = graphs.DEFAULT_MAX_VERTICES) -> int:
+    """The vertex bound ORTHOCOUNT_MAX_N sets, else the given default."""
     raw = os.environ.get("ORTHOCOUNT_MAX_N")
     if raw is None:
-        return graphs.DEFAULT_MAX_VERTICES
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -65,7 +67,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify_spectrum(args) -> int:
     graph = _build_graph(args.family, args.q, args.d)
-    report = spectral.verify_square_identity(graph)
+    report = spectral.verify_square_identity(
+        graph, max_vertices=_max_vertices(spectral.DEFAULT_MAX_CHECK_VERTICES)
+    )
     profile = spectral.predicted_spectrum(args.q, args.d, args.family)
     payload = {
         "pass": report.passed,
@@ -104,15 +108,19 @@ def _cmd_count(args) -> int:
 
 def _cmd_predict(args) -> int:
     q, d, k, m = args.q, args.d, args.k, args.m
+    field_from_order(q)  # rejects an order that is no prime power
     clique = counting.PatternGraph.complete(k)
-    payload = {
-        "lambda_k_formula": asymptotics.predict_tuple_count(m, q, k),
-        "alon_formula": asymptotics.predict_copy_count(
-            m, q**d - 1, q ** (d - 1) - 1, clique
-        ),
-        "threshold_new": asymptotics.threshold_new(q, d, k),
-        "threshold_old": asymptotics.threshold_old(q, d, k),
-    }
+    try:
+        payload = {
+            "lambda_k_formula": asymptotics.predict_tuple_count(m, q, k),
+            "alon_formula": asymptotics.predict_copy_count(
+                m, q**d - 1, q ** (d - 1) - 1, clique
+            ),
+            "threshold_new": asymptotics.threshold_new(q, d, k),
+            "threshold_old": asymptotics.threshold_old(q, d, k),
+        }
+    except OverflowError:
+        raise OrthocountError("a prediction exceeds the floating-point range") from None
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -3,14 +3,29 @@
 Two routes are kept deliberately independent:
 
 * count_ordered_tuples_oracle enumerates every ordered tuple of distinct
-  subset members and tests all pairs, with no pruning.  It is the ground
-  truth for small instances.
-* count_ordered_tuples counts k-cliques by recursive candidate-set
-  intersection on the bit rows (ascending vertex index, diagonal masked
-  off) and multiplies by k!.
+  subset members and tests all pairs on the graph's vertex rows, with no
+  pruning.  It is the ground truth for small instances.
+* count_ordered_tuples works on the class graph alone (see graphs), for
+  both families.  With w_c = |S ∩ class c| for the subset S, a set of
+  distinct, pairwise adjacent members meets a set C of classes that is a
+  clique of the class graph (diagonal excluded); it takes j_c >= 1 members
+  of each class c in C, and j_c >= 2 only when c is isotropic, since two
+  multiples of x are orthogonal exactly when x.x = 0.  Hence
 
-Tuples require distinct entries throughout, so loops never contribute;
-counts are exact Python integers end to end.
+      ordered k-tuples = k! * [x^k] sum over class cliques C of
+                         prod_{c in C} g_c(x),
+      g_c(x) = (1 + x)^(w_c) - 1   if c is isotropic,
+      g_c(x) = w_c * x             otherwise.
+
+  The projective family is the case w_c in {0, 1}.  Class cliques are
+  enumerated by candidate bit-vector intersection in ascending class
+  order, and only cliques of at most k classes reach x^k.  A clique of
+  k - 1 classes grows by one more class c, adding w_c times its [x^(k-1)],
+  so the last level is a weighted popcount of the candidate set over the
+  bitplanes of the weights (about log2(q) of them).
+
+Tuples require distinct entries throughout, so diagonal bits never
+contribute; counts are exact Python integers end to end.
 """
 
 from __future__ import annotations
@@ -92,8 +107,11 @@ class PatternGraph:
 
 
 def automorphism_count(pattern: PatternGraph, max_vertices: int = 8) -> int:
-    """|Aut(H)| by exhaustive permutation enumeration; s <= 8 only."""
+    """|Aut(H)|: s! for the complete graph K_s, otherwise by exhaustive
+    permutation enumeration, s <= 8 only."""
     s = pattern.vertex_count
+    if pattern.edge_count == s * (s - 1) // 2:
+        return math.factorial(s)
     if s > max_vertices:
         raise BoundExceededError(f"automorphism enumeration capped at {max_vertices} vertices")
     edge_set = set(pattern.edges)
@@ -187,33 +205,84 @@ def count_ordered_tuples_oracle(
     return count
 
 
-def _clique_count(rows: Sequence[int], candidates: int, k: int) -> int:
+def _class_weights(subset: VertexSubset) -> list[int]:
+    """w_c = |S ∩ class c| for every class c, from the member bit vector."""
+    graph = subset.graph
+    b = graph.blowup
+    bits = format(subset.members, f"0{graph.n}b")[::-1]
+    return [bits.count("1", i, i + b) for i in range(0, graph.n, b)]
+
+
+def _weighted_clique_sum(rows: Sequence[int], loops: int, weights: list[int], k: int) -> int:
+    """Sum over the cliques C of the class graph of [x^k] prod_{c in C}
+    g_c(x); see the module docstring for g_c."""
     if k == 1:
-        return candidates.bit_count()
-    total = 0
-    rest = candidates
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        # rest now holds exactly the candidates above v
-        sub = rest & rows[v]
-        if sub:
-            total += _clique_count(rows, sub, k - 1)
-    return total
+        return sum(weights)
+    # (j, mask of the classes whose weight has bit j set)
+    planes = [
+        (j, int("".join("1" if (w >> j) & 1 else "0" for w in reversed(weights)), 2))
+        for j in range(max(weights).bit_length())
+    ]
+    # coefficients of g_c for the classes where it is not w_c * x
+    gen = {
+        c: [0] + [math.comb(w, j) for j in range(1, k + 1)]
+        for c, w in enumerate(weights)
+        if w >= 2 and (loops >> c) & 1
+    }
+
+    def walk(poly: list[int], candidates: int, depth: int) -> int:
+        # poly holds [x^j] of the product over the depth classes chosen so
+        # far; the result covers every extension by candidates
+        total = 0
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            c = low.bit_length() - 1
+            rest ^= low
+            # rest now holds exactly the candidates above c
+            g = gen.get(c)
+            sub = rest & rows[c]
+            if depth + 2 < k:
+                if g is None:
+                    grown = [0] + [weights[c] * a for a in poly[:k]]
+                else:
+                    grown = [sum(g[i] * poly[j - i] for i in range(1, j + 1)) for j in range(k + 1)]
+                total += grown[k]
+                if sub:
+                    total += walk(grown, sub, depth + 1)
+                continue
+            # last level: only [x^(k-1)] and [x^k] of poly * g_c matter, and
+            # one more class c' adds w_c' * [x^(k-1)]
+            if g is None:
+                below, top = weights[c] * poly[k - 2], weights[c] * poly[k - 1]
+            else:
+                below = sum(g[i] * poly[k - 1 - i] for i in range(1, k))
+                top = sum(g[i] * poly[k - i] for i in range(1, k + 1))
+            total += top
+            if sub:
+                weight = 0
+                for j, plane in planes:
+                    weight += (sub & plane).bit_count() << j
+                total += below * weight
+        return total
+
+    active = 0
+    for _, plane in planes:
+        active |= plane
+    return walk([1] + [0] * k, active, 0)
 
 
 def count_ordered_tuples(subset: VertexSubset, k: int) -> int:
-    """Fast path: k! times the number of k-cliques inside the subset,
-    counted by candidate bit-vector intersection.  Agrees exactly with
+    """Fast path: k! times the weighted class-clique sum of the module
+    docstring, on the class rows.  Agrees exactly with
     count_ordered_tuples_oracle wherever both run."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if subset.size < k:
         return 0
     graph = subset.graph
-    masked = [row & ~(1 << i) for i, row in enumerate(graph.rows)]
-    return math.factorial(k) * _clique_count(masked, subset.members, k)
+    weights = _class_weights(subset)
+    return math.factorial(k) * _weighted_clique_sum(graph.class_rows, graph.class_loops, weights, k)
 
 
 def count_copies(subset: VertexSubset, pattern: PatternGraph) -> int:
@@ -225,7 +294,8 @@ def count_copies(subset: VertexSubset, pattern: PatternGraph) -> int:
     aut = pattern.aut_count
     if subset.size < s:
         return 0
-    masked = [row & ~(1 << i) for i, row in enumerate(graph.rows)]
+    # cand never holds a used vertex, so diagonal bits are never read
+    rows = graph.rows
     earlier: list[list[int]] = [[] for _ in range(s)]
     for a, b in pattern.edges:
         earlier[max(a, b)].append(min(a, b))
@@ -237,7 +307,7 @@ def count_copies(subset: VertexSubset, pattern: PatternGraph) -> int:
             return 1
         cand = members & ~used
         for u in earlier[slot]:
-            cand &= masked[images[u]]
+            cand &= rows[images[u]]
         total = 0
         rest = cand
         while rest:

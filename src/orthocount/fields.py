@@ -243,6 +243,9 @@ def field_from_order(q: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
     """Construct the field of a given prime-power order q."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an integer >= 2, got {q}")
+    if q > max_order:
+        # before factoring, which would take sqrt(q) steps
+        raise BoundExceededError(f"field order {q} exceeds bound {max_order}")
     p = q
     for f in range(2, q):
         if f * f > q:

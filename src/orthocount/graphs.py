@@ -1,23 +1,32 @@
 """Orthogonality graphs on projective points and on all nonzero vectors.
 
 Both families put an edge between x and y exactly when x.y = 0, including
-x = y (self-orthogonal vectors carry loops).  Adjacency is stored as one
+x = y (self-orthogonal vectors carry loops).  Adjacency is held as one
 arbitrary-precision Python integer per vertex, bit j of row i meaning
 "i adjacent to j"; bitwise AND on these rows is the performance core of
 clique counting.  A loop contributes exactly 1 to its row's population
 count, which keeps every row sum equal to the common degree.
 
-Vertex order is fixed: projective graphs list class representatives in
-encoding order; the all-vectors graph lists, for each class in that same
-order, its q - 1 scalar multiples with scalars ascending.  Classes thus
-form contiguous blocks of size q - 1, the ordering the block-diagonal
-spectral identity relies on.
+Orthogonality is computed once, on the projective classes: a graph stores
+the class representatives in encoding order, one class row per
+representative and the class loops (the isotropic classes, x.x = 0).  The
+projective graph is exactly this class graph.  The all-vectors graph is
+its (q-1)-fold blow-up, since x.y = 0 if and only if (s x).(t y) = 0 for
+nonzero scalars s, t, and it is held as the same class data with blow-up
+factor q - 1.  Its vertex i is the multiple ((i mod (q-1)) + 1) times
+representative i // (q-1), so classes form contiguous blocks of size
+q - 1, the ordering the block-diagonal spectral identity relies on; its
+row i is class row i // (q-1) with every bit widened to q - 1 bits.  The
+vertex, row and loop views of the all-vectors graph are derived from the
+class data on first use only (export, spectral checks, vertex lookup,
+pattern copies and the counting oracle); counting reads the class rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -32,19 +41,55 @@ PROJECTIVE = "projective"
 AFFINE = "affine"
 
 
+def _widen(mask: int, count: int, width: int) -> int:
+    """Replace each of the low `count` bits of mask by `width` copies of
+    itself: bit c becomes bits c*width .. c*width + width - 1."""
+    if width == 1:
+        return mask
+    packed = np.frombuffer(mask.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(packed, bitorder="little")[:count]
+    return int.from_bytes(np.packbits(np.repeat(bits, width), bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True, eq=False)
 class OrthoGraph:
-    """Immutable dense orthogonality graph; safe for concurrent reads."""
+    """Immutable dense orthogonality graph, stored as its projective class
+    graph plus a blow-up factor; safe for concurrent reads."""
 
     family: str
     q: int
     d: int
     field: Field
-    vertices: tuple[Vector, ...]
-    rows: tuple[int, ...]
-    loops: int
-    n: int
+    classes: tuple[Vector, ...]
+    class_rows: tuple[int, ...]
+    class_loops: int
     degree: int
+
+    @property
+    def blowup(self) -> int:
+        """Vertices per class: q - 1 for the all-vectors graph, else 1."""
+        return self.q - 1 if self.family == AFFINE else 1
+
+    @property
+    def n(self) -> int:
+        return len(self.classes) * self.blowup
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        if self.blowup == 1:
+            return self.classes
+        return tuple(scale(self.field, s, rep) for rep in self.classes for s in range(1, self.q))
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Adjacency row of every vertex; the q - 1 vertices of a class
+        share one row object."""
+        count, b = len(self.classes), self.blowup
+        return tuple(row for c in self.class_rows for row in repeat(_widen(c, count, b), b))
+
+    @cached_property
+    def loops(self) -> int:
+        return _widen(self.class_loops, len(self.classes), self.blowup)
 
     def neighbors(self, i: int) -> int:
         """Adjacency row i as a bit vector; popcount equals the degree."""
@@ -53,13 +98,13 @@ class OrthoGraph:
         return self.rows[i]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
+        return bool((self.class_rows[i // self.blowup] >> (j // self.blowup)) & 1)
 
     def has_loop(self, i: int) -> bool:
-        return bool((self.loops >> i) & 1)
+        return bool((self.class_loops >> (i // self.blowup)) & 1)
 
     def loop_count(self) -> int:
-        return self.loops.bit_count()
+        return self.class_loops.bit_count() * self.blowup
 
     def vertex_index(self, v: Vector) -> int:
         try:
@@ -112,57 +157,48 @@ def _orthogonality_rows(field: Field, coords: np.ndarray) -> list[int]:
     return rows
 
 
-def _finish_graph(family: str, field: Field, d: int, vertices: list[Vector], degree: int) -> OrthoGraph:
-    coords = np.array(vertices, dtype=np.int64)
-    rows = _orthogonality_rows(field, coords)
-    n = len(vertices)
+def _build(family: str, q: int, d: int, max_vertices: int) -> OrthoGraph:
+    field = field_from_order(q)
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    blowup = q - 1 if family == AFFINE else 1
+    n = (q**d - 1) // (q - 1) * blowup
+    if n > max_vertices:
+        raise BoundExceededError(f"{family} graph order {n} exceeds bound {max_vertices}")
+    classes = projective_representatives(field, d, max_points=max(q**d, 1))
+    rows = _orthogonality_rows(field, np.array(classes, dtype=np.int64))
+    class_degree = (q ** (d - 1) - 1) // (q - 1)
     loops = 0
-    for i, row in enumerate(rows):
-        if row.bit_count() != degree:
+    for c, row in enumerate(rows):
+        if row.bit_count() != class_degree:
             raise OrthocountError(
-                f"regularity violated at vertex {i}: row sum {row.bit_count()} != {degree}"
+                f"regularity violated at class {c}: row sum {row.bit_count()} != {class_degree}"
             )
-        loops |= ((row >> i) & 1) << i
+        loops |= ((row >> c) & 1) << c
     return OrthoGraph(
         family=family,
-        q=field.q,
+        q=q,
         d=d,
         field=field,
-        vertices=tuple(vertices),
-        rows=tuple(rows),
-        loops=loops,
-        n=n,
-        degree=degree,
+        classes=tuple(classes),
+        class_rows=tuple(rows),
+        class_loops=loops,
+        # a vertex is adjacent to all blowup vertices of each adjacent class
+        degree=class_degree * blowup,
     )
 
 
 def build_projective_graph(q: int, d: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> OrthoGraph:
     """Graph on the (q^d - 1)/(q - 1) projective points; adjacency is
     orthogonality of class representatives (well defined on classes)."""
-    field = field_from_order(q)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    n = (q**d - 1) // (q - 1)
-    if n > max_vertices:
-        raise BoundExceededError(f"projective graph order {n} exceeds bound {max_vertices}")
-    vertices = projective_representatives(field, d, max_points=max(q**d, 1))
-    degree = (q ** (d - 1) - 1) // (q - 1)
-    return _finish_graph(PROJECTIVE, field, d, vertices, degree)
+    return _build(PROJECTIVE, q, d, max_vertices)
 
 
 def build_affine_graph(q: int, d: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> OrthoGraph:
     """Graph on all q^d - 1 nonzero vectors, the (q-1)-fold blow-up of the
-    projective graph; vertices grouped by class in contiguous blocks."""
-    field = field_from_order(q)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    n = q**d - 1
-    if n > max_vertices:
-        raise BoundExceededError(f"affine graph order {n} exceeds bound {max_vertices}")
-    reps = projective_representatives(field, d, max_points=max(q**d, 1))
-    vertices = [scale(field, s, rep) for rep in reps for s in range(1, q)]
-    degree = q ** (d - 1) - 1
-    return _finish_graph(AFFINE, field, d, vertices, degree)
+    projective graph; vertices grouped by class in contiguous blocks.
+    Only the class graph is computed here."""
+    return _build(AFFINE, q, d, max_vertices)
 
 
 def export_graph(graph: OrthoGraph, stream: IO[str]) -> None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import orthocount
+from orthocount import spectral
 from orthocount.asymptotics import CSV_COLUMNS
 from orthocount.cli import main
 from orthocount.graphs import build_affine_graph, parse_graph_export
@@ -94,6 +95,31 @@ def test_predict_output(capsys):
     assert payload["alon_formula"] == pytest.approx(81**3 / 6 * (26 / 80) ** 3)
 
 
+@pytest.mark.parametrize(
+    "q,d,k,m,message",
+    [
+        (5, 4, 5, 10**80, "floating-point range"),
+        (1048573, 200, 5, 100, "floating-point range"),
+        (6, 4, 3, 100, "6 is not a prime power"),
+    ],
+)
+def test_predict_failures_are_one_error_line(q, d, k, m, message):
+    result = run_cli("predict", "--q", str(q), "--d", str(d), "--k", str(k), "--m", str(m))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("orthocount: error:")
+    assert message in line
+
+
+def test_predict_large_clique(capsys):
+    # |Aut(K_9)| = 9! without enumerating permutations of 9 vertices
+    assert main(["predict", "--q", "3", "--d", "4", "--k", "9", "--m", "100"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lambda_k_formula"] == 100**9 / (362880 * 3**36)
+    assert payload["alon_formula"] == 100**9 * 26**36 / (362880 * 80**36)
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -153,6 +179,29 @@ def test_verify_spectrum_projective(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True and payload["mu_or_rho"] == 1
     assert payload["field"] == "GF(2^2; modulus=1,1,1)"
+
+
+def test_verify_spectrum_bound_below_n_via_env():
+    result = run_cli(
+        "verify-spectrum", "--family", "affine", "--q", "3", "--d", "3",
+        env={"ORTHOCOUNT_MAX_N": "20"},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("orthocount: error:")
+    assert "exceeds bound 20" in line
+
+
+def test_verify_spectrum_check_bound_follows_env(monkeypatch, capsys):
+    # unset, the check keeps its own default; set, the variable governs it
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_CHECK_VERTICES", 10)
+    argv = ["verify-spectrum", "--family", "affine", "--q", "3", "--d", "3"]
+    assert main(argv) == 1
+    assert "matrix check bound exceeded: n = 26 > 10" in capsys.readouterr().err
+    monkeypatch.setenv("ORTHOCOUNT_MAX_N", "26")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tuple and pattern-copy counting: oracle equivalence and invariants."""
 
-import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,8 @@ from orthocount.counting import (
     count_ordered_tuples_oracle,
 )
 from orthocount.errors import BoundExceededError
-from orthocount.graphs import build_affine_graph
+from orthocount.graphs import build_affine_graph, build_projective_graph
+from orthocount.vectors import dot
 
 G33 = build_affine_graph(3, 3)
 G34 = build_affine_graph(3, 4)
@@ -39,6 +40,8 @@ def test_automorphism_examples():
 def test_automorphism_size_cap():
     with pytest.raises(BoundExceededError):
         automorphism_count(PatternGraph(9, ()))
+    # K_s needs no enumeration, so the cap does not apply to it
+    assert PatternGraph.complete(9).aut_count == math.factorial(9)
 
 
 def test_pattern_validation():
@@ -141,15 +144,43 @@ def test_fast_matches_oracle_on_random_subsets():
 
 
 def test_counts_ignore_loops():
-    # clearing every diagonal bit changes nothing: tuples have distinct entries
-    rows = tuple(row & ~(1 << i) for i, row in enumerate(G33.rows))
-    loopless = dataclasses.replace(G33, rows=rows, loops=0)
+    # diagonal bits never change a count: the oracle on the vertex rows with
+    # every diagonal bit cleared agrees with the class-row count
+    cleared = tuple(row & ~(1 << i) for i, row in enumerate(G33.rows))
+    assert cleared != G33.rows
+    loopless = SimpleNamespace(n=G33.n, rows=cleared)
     for k in (2, 3):
         for seed in range(5):
             idx = random.Random(seed).sample(range(G33.n), 12)
             a = count_ordered_tuples(VertexSubset.from_indices(G33, idx), k)
-            b = count_ordered_tuples(VertexSubset.from_indices(loopless, idx), k)
+            b = count_ordered_tuples_oracle(VertexSubset.from_indices(loopless, idx), k)
             assert a == b
+
+
+QUOTIENT_GRAPHS = {2: 5, 3: 4, 4: 4, 5: 4, 9: 4}  # q -> d
+ORACLE_SIZE = {1: 30, 2: 30, 3: 24, 4: 17, 5: 14}  # k -> largest m
+
+
+@pytest.mark.parametrize("family", ["projective", "affine"])
+@pytest.mark.parametrize("q", sorted(QUOTIENT_GRAPHS))
+def test_quotient_count_matches_oracle(family, q):
+    # each subset holds one whole isotropic class and then vertices adjacent
+    # to it, so classes with w_c >= k meet classes with small w_c
+    g = (build_affine_graph if family == "affine" else build_projective_graph)(q, QUOTIENT_GRAPHS[q])
+    b = g.blowup
+    isotropic = [c for c in range(g.n // b) if dot(g.field, g.vertices[c * b], g.vertices[c * b]) == 0]
+    rng = random.Random(q)
+    for k in range(1, 6):
+        for _ in range(3):
+            c = rng.choice(isotropic)
+            picks = set(range(c * b, c * b + b))
+            m = rng.randrange(max(k, b), min(ORACLE_SIZE[k], g.n) + 1)
+            near = [j for j in range(g.n) if g.has_edge(c * b, j) and j not in picks]
+            picks.update(rng.sample(near, min(m - b, len(near) // 2)))
+            picks.update(rng.sample(sorted(set(range(g.n)) - picks), m - len(picks)))
+            sub = VertexSubset.from_indices(g, picks)
+            assert sub.size == m
+            assert count_ordered_tuples(sub, k) == count_ordered_tuples_oracle(sub, k)
 
 
 @settings(max_examples=60, deadline=None)

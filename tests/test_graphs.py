@@ -107,6 +107,21 @@ def test_affine_scaling_invariance_exhaustive(q, d):
                     assert g.has_edge(ia, jb) == g.has_edge(i, j)
 
 
+@pytest.mark.parametrize("q,d", [(3, 3), (4, 3), (5, 3), (9, 2)])
+def test_derived_affine_views_match_pairwise_dot(q, d):
+    # rows and loops are widened from the class graph; check them against
+    # scalar dot products over all nonzero vectors
+    g = build_affine_graph(q, d)
+    field = g.field
+    assert sorted(g.vertices) == sorted(enumerate_nonzero_vectors(field, d))
+    assert len(g.rows) == g.n
+    for i, x in enumerate(g.vertices):
+        expected = sum(1 << j for j, y in enumerate(g.vertices) if dot(field, x, y) == 0)
+        assert g.rows[i] == expected
+        assert (g.loops >> i) & 1 == (dot(field, x, x) == 0)
+    assert g.loops >> g.n == 0
+
+
 def test_affine_loop_count_is_blowup_of_projective():
     for q, d in [(3, 3), (5, 3), (3, 4), (4, 3)]:
         gp = build_projective_graph(q, d)

@@ -74,7 +74,7 @@ def test_corrupted_adjacency_is_detected():
     g = build_projective_graph(3, 3)
     rows = list(g.rows)
     rows[0] ^= 1 << 5  # break symmetry/regularity in one row
-    bad = dataclasses.replace(g, rows=tuple(rows))
+    bad = dataclasses.replace(g, class_rows=tuple(rows))  # projective: rows are class rows
     report = verify_projective_square_identity(bad)
     assert not report.passed
     assert report.violations
