@@ -1,8 +1,8 @@
 """Exact-arithmetic orthogonality graphs over finite fields.
 
 Construction of the projective and all-vectors orthogonality graphs,
-exact verification of their square-of-adjacency identities, bit-parallel
-counting of mutually orthogonal k-tuples and small-pattern copies, and a
+exact verification of their square-of-adjacency identity, exact counting
+of k-tuples of mutually orthogonal vectors (ordered copies of K_k), and a
 seeded experiment harness comparing observed counts against closed-form
 predictions.
 """
@@ -21,14 +21,7 @@ from .asymptotics import (
     threshold_old,
     validity_margin,
 )
-from .counting import (
-    PatternGraph,
-    VertexSubset,
-    automorphism_count,
-    count_copies,
-    count_ordered_tuples,
-    count_ordered_tuples_oracle,
-)
+from .counting import VertexSubset, count_ordered_tuples, count_ordered_tuples_oracle
 from .errors import BoundExceededError, OrthocountError
 from .fields import Field, field_from_order, make_field
 from .graphs import (

@@ -29,10 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .counting import PatternGraph, VertexSubset, count_ordered_tuples
+from .counting import VertexSubset, count_ordered_tuples
 from .graphs import AFFINE, DEFAULT_MAX_VERTICES, OrthoGraph, build_affine_graph
 
 _MASK64 = (1 << 64) - 1
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def predict_tuple_count(m: int, q: int, k: int) -> float:
@@ -41,18 +46,18 @@ def predict_tuple_count(m: int, q: int, k: int) -> float:
     numerator, one final floating division."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     return m**k / (math.factorial(k) * q ** (k * (k - 1) // 2))
 
 
-def predict_copy_count(m: int, n: int, degree: int, pattern: PatternGraph) -> float:
-    """m^s / |Aut(H)| * (degree/n)^r: predicted copies of the pattern in a
+def predict_copy_count(m: int, n: int, degree: int, k: int) -> float:
+    """m^k / k! * (degree/n)^(k(k-1)/2): predicted copies of K_k in a
     uniform m-subset of a pseudo-random n-vertex degree-regular graph."""
     if not 0 < degree <= n:
         raise ValueError(f"need 0 < degree <= n, got degree={degree}, n={n}")
-    s, r = pattern.vertex_count, pattern.edge_count
-    return m**s * degree**r / (pattern.aut_count * n**r)
+    _check_k(k)
+    r = k * (k - 1) // 2
+    return m**k * degree**r / (math.factorial(k) * n**r)
 
 
 def _rational_power(q: int, expo: Fraction) -> float:
@@ -63,10 +68,12 @@ def _rational_power(q: int, expo: Fraction) -> float:
 
 
 def threshold_exponent_new(d: int, k: int) -> Fraction:
+    _check_k(k)
     return Fraction(d, 2) + (k - 1)
 
 
 def threshold_exponent_old(d: int, k: int) -> Fraction:
+    _check_k(k)
     return Fraction(d * (k - 1), k) + Fraction(k - 1, 2) + Fraction(1, k)
 
 
@@ -112,14 +119,15 @@ def compare_thresholds(q: int, d: int, k: int) -> ThresholdComparison:
     )
 
 
-def validity_margin(m: int, q: int, d: int, pattern: PatternGraph) -> float:
-    """m / (lambda * (n/degree)^max_degree) for the all-vectors graph,
-    with lambda = (q-1) * q^((d-2)/2).  Margins above 1 mean the
-    counting lemma's hypothesis is comfortably met."""
+def validity_margin(m: int, q: int, d: int, k: int) -> float:
+    """m / (lambda * (n/degree)^(k-1)) for the all-vectors graph, with
+    lambda = (q-1) * q^((d-2)/2) and k - 1 the degree of K_k.  Margins
+    above 1 mean the counting lemma's hypothesis is comfortably met."""
+    _check_k(k)
     lam = (q - 1) * math.sqrt(q ** (d - 2))
     n = q**d - 1
     degree = q ** (d - 1) - 1
-    return m / (lam * (n / degree) ** pattern.max_degree)
+    return m / (lam * (n / degree) ** (k - 1))
 
 
 def splitmix64(x: int) -> int:
@@ -169,6 +177,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family != AFFINE:
             raise ValueError("experiments run on the affine family only")
+        _check_k(self.k)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.densities:
@@ -264,7 +273,6 @@ def run_experiment(
     (density index, trial index) order and depend only on the config."""
     q, d, k = config.q, config.d, config.k
     graph = build_affine_graph(q, d, max_vertices=max_vertices)
-    clique = PatternGraph.complete(k)
     scale = math.factorial(k)
     t_new = threshold_new(q, d, k)
     t_old = threshold_old(q, d, k)
@@ -272,8 +280,8 @@ def run_experiment(
     for density_index, density in enumerate(config.densities):
         m = config.resolve_size(density, graph.n)
         predicted_main = scale * predict_tuple_count(m, q, k)
-        predicted_alon = scale * predict_copy_count(m, graph.n, graph.degree, clique)
-        margin = validity_margin(m, q, d, clique)
+        predicted_alon = scale * predict_copy_count(m, graph.n, graph.degree, k)
+        margin = validity_margin(m, q, d, k)
         for trial_index in range(config.trials):
             seed = mix_seed(config.master_seed, density_index, trial_index)
             subset = sample_subset(graph, m, seed)

@@ -109,15 +109,16 @@ def _cmd_count(args) -> int:
 def _cmd_predict(args) -> int:
     q, d, k, m = args.q, args.d, args.k, args.m
     field_from_order(q)  # rejects an order that is no prime power
-    clique = counting.PatternGraph.complete(k)
     try:
+        # the thresholds come first: for a huge d or k they overflow before
+        # q**d or m**k is taken
+        t_new = asymptotics.threshold_new(q, d, k)
+        t_old = asymptotics.threshold_old(q, d, k)
         payload = {
             "lambda_k_formula": asymptotics.predict_tuple_count(m, q, k),
-            "alon_formula": asymptotics.predict_copy_count(
-                m, q**d - 1, q ** (d - 1) - 1, clique
-            ),
-            "threshold_new": asymptotics.threshold_new(q, d, k),
-            "threshold_old": asymptotics.threshold_old(q, d, k),
+            "alon_formula": asymptotics.predict_copy_count(m, q**d - 1, q ** (d - 1) - 1, k),
+            "threshold_new": t_new,
+            "threshold_old": t_old,
         }
     except OverflowError:
         raise OrthocountError("a prediction exceeds the floating-point range") from None

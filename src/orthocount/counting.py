@@ -1,6 +1,9 @@
-"""Exact counting of orthogonal tuples and small-pattern copies.
+"""Exact counts of ordered k-tuples of mutually orthogonal vectors.
 
-Two routes are kept deliberately independent:
+A k-tuple of distinct, pairwise orthogonal subset members is an ordered
+copy of K_k in the orthogonality graph, so the K_k copy count is the
+ordered count divided by k!.  Two routes are kept deliberately
+independent:
 
 * count_ordered_tuples_oracle enumerates every ordered tuple of distinct
   subset members and tests all pairs on the graph's vertex rows, with no
@@ -32,8 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError
@@ -41,89 +43,6 @@ from .graphs import OrthoGraph
 from .vectors import Vector
 
 DEFAULT_ORACLE_WORK = 10_000_000
-
-Edge = tuple[int, int]
-
-
-def _normalize_edges(vertex_count: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
-    seen = set()
-    out = []
-    for edge in edges:
-        a, b = edge
-        if a == b:
-            raise ValueError(f"pattern graphs are loop-free, got edge ({a},{b})")
-        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-            raise ValueError(f"edge ({a},{b}) out of range for {vertex_count} vertices")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-        out.append(key)
-    return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
-class PatternGraph:
-    """A small simple graph H to count copies of; K_k is the central case."""
-
-    vertex_count: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.vertex_count < 1:
-            raise ValueError("pattern graphs need at least one vertex")
-        object.__setattr__(self, "edges", _normalize_edges(self.vertex_count, self.edges))
-
-    @classmethod
-    def complete(cls, k: int) -> "PatternGraph":
-        return cls(k, tuple(combinations(range(k), 2)))
-
-    @classmethod
-    def path(cls, length: int) -> "PatternGraph":
-        """Path on `length` vertices (length - 1 edges)."""
-        return cls(length, tuple((i, i + 1) for i in range(length - 1)))
-
-    @classmethod
-    def cycle(cls, length: int) -> "PatternGraph":
-        if length < 3:
-            raise ValueError("cycles need at least 3 vertices")
-        return cls(length, tuple((i, (i + 1) % length) for i in range(length)))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def max_degree(self) -> int:
-        deg = [0] * self.vertex_count
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return max(deg)
-
-    @cached_property
-    def aut_count(self) -> int:
-        return automorphism_count(self)
-
-
-def automorphism_count(pattern: PatternGraph, max_vertices: int = 8) -> int:
-    """|Aut(H)|: s! for the complete graph K_s, otherwise by exhaustive
-    permutation enumeration, s <= 8 only."""
-    s = pattern.vertex_count
-    if pattern.edge_count == s * (s - 1) // 2:
-        return math.factorial(s)
-    if s > max_vertices:
-        raise BoundExceededError(f"automorphism enumeration capped at {max_vertices} vertices")
-    edge_set = set(pattern.edges)
-    count = 0
-    for perm in permutations(range(s)):
-        for a, b in edge_set:
-            pa, pb = perm[a], perm[b]
-            if (pa, pb) not in edge_set and (pb, pa) not in edge_set:
-                break
-        else:
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -283,41 +202,3 @@ def count_ordered_tuples(subset: VertexSubset, k: int) -> int:
     graph = subset.graph
     weights = _class_weights(subset)
     return math.factorial(k) * _weighted_clique_sum(graph.class_rows, graph.class_loops, weights, k)
-
-
-def count_copies(subset: VertexSubset, pattern: PatternGraph) -> int:
-    """Copies of the pattern: injective edge-preserving maps into the
-    subset, divided by |Aut|.  Extra adjacencies among the image are
-    allowed (copies are not necessarily induced)."""
-    graph = subset.graph
-    s = pattern.vertex_count
-    aut = pattern.aut_count
-    if subset.size < s:
-        return 0
-    # cand never holds a used vertex, so diagonal bits are never read
-    rows = graph.rows
-    earlier: list[list[int]] = [[] for _ in range(s)]
-    for a, b in pattern.edges:
-        earlier[max(a, b)].append(min(a, b))
-
-    members = subset.members
-
-    def extend(slot: int, used: int, images: list[int]) -> int:
-        if slot == s:
-            return 1
-        cand = members & ~used
-        for u in earlier[slot]:
-            cand &= rows[images[u]]
-        total = 0
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            images.append(low.bit_length() - 1)
-            total += extend(slot + 1, used | low, images)
-            images.pop()
-        return total
-
-    injective = extend(0, 0, [])
-    assert injective % aut == 0, "injective map count must be divisible by |Aut|"
-    return injective // aut

@@ -122,9 +122,6 @@ class Field:
             return a
         return self._index([(-x) % self.p for x in self._digits_of(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)

@@ -18,8 +18,8 @@ representative i // (q-1), so classes form contiguous blocks of size
 q - 1, the ordering the block-diagonal spectral identity relies on; its
 row i is class row i // (q-1) with every bit widened to q - 1 bits.  The
 vertex, row and loop views of the all-vectors graph are derived from the
-class data on first use only (export, spectral checks, vertex lookup,
-pattern copies and the counting oracle); counting reads the class rows.
+class data on first use only (export, spectral checks, vertex lookup and
+the counting oracle); counting reads the class rows.
 """
 
 from __future__ import annotations
@@ -128,29 +128,33 @@ class OrthoGraph:
 
 def _orthogonality_rows(field: Field, coords: np.ndarray) -> list[int]:
     """Bit rows of the pairwise-orthogonality relation among the given
-    coordinate rows, via chunked exact integer matrix products.
+    coordinate rows (element codes), bit j of row i meaning x_i.x_j = 0.
 
-    Products stay below 2^63: entries are < q and q^d is capped by the
-    vertex bound, so each accumulated sum is at most d * q^2.
+    Over GF(p^e) each element is a GF(p)-linear map on its e base-p
+    digits (multiplication_matrices), so the e digits of x_i.x_j are one
+    row each of an integer product of left (e rows per vector) with the
+    digit matrix right, reduced mod p; x_i.x_j = 0 when all e vanish.  For
+    a prime field e = 1 and the product is coords @ coords.T.  Rows are
+    taken in chunks whose (e*chunk) x n product holds about 2^22 entries,
+    and each product is freed before the next is computed.
+
+    Products stay below 2^63: digits are < p and q^d is capped by the
+    vertex bound, so each accumulated sum is at most d * e * p^2.
     """
-    n = coords.shape[0]
-    chunk = max(1, (1 << 22) // max(n, 1))
-    rows: list[int] = []
-    if field.e == 1:
-        right = coords.T
-    else:
-        mats = multiplication_matrices(field)[coords]  # (n, d, e, e)
-        d = coords.shape[1]
-        left = mats.transpose(0, 2, 1, 3).reshape(n, field.e, d * field.e)
-        right = element_digits(field)[coords].reshape(n, d * field.e).T
+    n, d = coords.shape
+    e, p = field.e, field.p
+    chunk = max(1, (1 << 22) // max(e * n, 1))
+    mats = multiplication_matrices(field)[coords]  # (n, d, e, e)
+    left = mats.transpose(0, 2, 1, 3).reshape(n, e, d * e)
+    right = element_digits(field)[coords].reshape(n, d * e).T
     nbytes = (n + 7) // 8
+    rows: list[int] = []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        if field.e == 1:
-            zero = (coords[start:stop] @ right) % field.p == 0
-        else:
-            prods = (left[start:stop].reshape(-1, right.shape[0]) @ right) % field.p
-            zero = (prods.reshape(stop - start, field.e, n) == 0).all(axis=1)
+        prods = left[start:stop].reshape(-1, d * e) @ right
+        prods %= p
+        zero = (prods.reshape(stop - start, e, n) == 0).all(axis=1)
+        del prods
         packed = np.packbits(zero, axis=1, bitorder="little")
         for row_bytes in packed:
             rows.append(int.from_bytes(row_bytes.tobytes()[:nbytes], "little"))
@@ -161,6 +165,11 @@ def _build(family: str, q: int, d: int, max_vertices: int) -> OrthoGraph:
     field = field_from_order(q)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    # n >= 2^(d-1) exceeds the bound once d - 1 passes its bit length; past
+    # 2^14 as well, q**d would take unbounded time and memory, so n is not
+    # computed (below that the message below still names n)
+    if d - 1 > max(max_vertices.bit_length(), 1 << 14):
+        raise BoundExceededError(f"{family} graph order at d = {d} exceeds bound {max_vertices}")
     blowup = q - 1 if family == AFFINE else 1
     n = (q**d - 1) // (q - 1) * blowup
     if n > max_vertices:

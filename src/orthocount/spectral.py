@@ -1,16 +1,17 @@
-"""Exact verification of the square-of-adjacency identities.
+"""Exact verification of the square-of-adjacency identity.
 
-For the projective graph A with degree D_P and codegree
-mu = (q^(d-2) - 1)/(q - 1):
+Both families satisfy one identity.  Group the vertices into blocks of
+b = graph.blowup consecutive vertices, one projective class per block
+(b = 1 for the projective graph, b = q - 1 for the all-vectors graph).
+With degree D and codegree c,
 
-    A @ A.T  ==  mu * J  +  (D_P - mu) * I
+    (A @ A.T)[i, j]  ==  c + (D - c) * [i, j in the same block]
 
-For the all-vectors graph V with degree D = q^(d-1) - 1 and codegree
-rho = q^(d-2) - 1, with vertices grouped into class blocks of size q - 1:
+For the projective graph c = mu = (q^(d-2) - 1)/(q - 1) and the identity
+reads A @ A.T == mu * J + (D - mu) * I; for the all-vectors graph
+c = rho = q^(d-2) - 1.  Both codegrees come from predicted_spectrum.
 
-    (V @ V.T)[i, j]  ==  rho + (D - rho) * [i, j in the same block]
-
-Both checks run in exact 64-bit integer arithmetic (entries are bounded
+The check runs in exact 64-bit integer arithmetic (entries are bounded
 by the degree, far below 2^63), so a pass is an identity, not an
 approximation; eigenvalue claims follow algebraically and no numeric
 eigensolver is involved anywhere.
@@ -75,74 +76,58 @@ def _collect_violations(actual: np.ndarray, expected: np.ndarray) -> tuple[Viola
     )
 
 
-def _square(graph: OrthoGraph, max_vertices: int) -> np.ndarray:
-    if graph.n > max_vertices:
-        raise BoundExceededError(
-            f"matrix check bound exceeded: n = {graph.n} > {max_vertices}"
-        )
+def verify_square_identity(
+    graph: OrthoGraph, max_vertices: int = DEFAULT_MAX_CHECK_VERTICES
+) -> IdentityReport:
+    """Check A @ A.T == codegree + (degree - codegree) * [same block]
+    entry-wise in exact integers, for either family.
+
+    Blocks are runs of graph.blowup consecutive vertices, so the check
+    relies on the builder's vertex order (each projective class in one
+    contiguous block); any ordering violation surfaces as a mismatched
+    entry."""
+    n, b = graph.n, graph.blowup
+    if n > max_vertices:
+        raise BoundExceededError(f"matrix check bound exceeded: n = {n} > {max_vertices}")
+    codegree = predicted_spectrum(graph.q, graph.d, graph.family).codegree
     a = graph.adjacency_matrix()
-    return a @ a.T
+    actual = a @ a.T
+    del a
+    expected = np.full((n, n), codegree, dtype=np.int64)
+    blocks = expected.reshape(n // b, b, n // b, b)  # a view: writes reach expected
+    diagonal = np.arange(n // b)
+    blocks[diagonal, :, diagonal, :] = graph.degree
+    violations = _collect_violations(actual, expected)
+    return IdentityReport(
+        passed=not violations,
+        family=graph.family,
+        q=graph.q,
+        d=graph.d,
+        n=n,
+        degree=graph.degree,
+        codegree=codegree,
+        violations=violations,
+    )
 
 
 def verify_projective_square_identity(
     graph: OrthoGraph, max_vertices: int = DEFAULT_MAX_CHECK_VERTICES
 ) -> IdentityReport:
-    """Check A @ A.T == mu*J + (degree - mu)*I entry-wise in exact integers."""
+    """verify_square_identity for a projective graph: A @ A.T == mu*J +
+    (degree - mu)*I."""
     if graph.family != PROJECTIVE:
         raise ValueError(f"expected a projective graph, got {graph.family}")
-    q, d = graph.q, graph.d
-    mu = (q ** (d - 2) - 1) // (q - 1)
-    m = _square(graph, max_vertices)
-    expected = np.full((graph.n, graph.n), mu, dtype=np.int64)
-    np.fill_diagonal(expected, graph.degree)
-    violations = _collect_violations(m, expected)
-    return IdentityReport(
-        passed=not violations,
-        family=graph.family,
-        q=q,
-        d=d,
-        n=graph.n,
-        degree=graph.degree,
-        codegree=mu,
-        violations=violations,
-    )
+    return verify_square_identity(graph, max_vertices)
 
 
 def verify_affine_square_identity(
     graph: OrthoGraph, max_vertices: int = DEFAULT_MAX_CHECK_VERTICES
 ) -> IdentityReport:
-    """Check the block form of V @ V.T in exact integers.
-
-    Relies on the builder's vertex order (projective classes in
-    contiguous blocks of q - 1 scalar multiples); any ordering violation
-    surfaces as a mismatched entry."""
+    """verify_square_identity for an all-vectors graph: the block form
+    with blocks of q - 1 scalar multiples."""
     if graph.family != AFFINE:
         raise ValueError(f"expected an affine graph, got {graph.family}")
-    q, d = graph.q, graph.d
-    rho = q ** (d - 2) - 1
-    m = _square(graph, max_vertices)
-    block = np.arange(graph.n) // (q - 1)
-    same_block = block[:, None] == block[None, :]
-    expected = rho + (graph.degree - rho) * same_block.astype(np.int64)
-    violations = _collect_violations(m, expected)
-    return IdentityReport(
-        passed=not violations,
-        family=graph.family,
-        q=q,
-        d=d,
-        n=graph.n,
-        degree=graph.degree,
-        codegree=rho,
-        violations=violations,
-    )
-
-
-def verify_square_identity(
-    graph: OrthoGraph, max_vertices: int = DEFAULT_MAX_CHECK_VERTICES
-) -> IdentityReport:
-    if graph.family == PROJECTIVE:
-        return verify_projective_square_identity(graph, max_vertices)
-    return verify_affine_square_identity(graph, max_vertices)
+    return verify_square_identity(graph, max_vertices)
 
 
 def predicted_spectrum(q: int, d: int, family: str) -> SpectralProfile:

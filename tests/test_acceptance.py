@@ -6,6 +6,7 @@ recorded from agreement between the brute-force oracle, an independent
 matrix-trace computation, and the bit-parallel fast path.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -14,15 +15,14 @@ from statistics import median
 from orthocount.asymptotics import (
     ExperimentConfig,
     compare_thresholds,
+    predict_copy_count,
     run_experiment,
     threshold_new,
     threshold_old,
 )
 from orthocount.cli import main as cli_main
 from orthocount.counting import (
-    PatternGraph,
     VertexSubset,
-    count_copies,
     count_ordered_tuples,
     count_ordered_tuples_oracle,
 )
@@ -175,31 +175,20 @@ def test_criterion_06_error_trend_along_q():
 
 
 def test_criterion_07_copy_count_consistency():
-    patterns = [
-        ("K2", PatternGraph.complete(2)),
-        ("K3", PatternGraph.complete(3)),
-        ("P3", PatternGraph.path(3)),
-    ]
-    frozen = {
-        (5, "K2"): 1476, (5, "K3"): 2024, (5, "P3"): 33672,
-        (7, "K2"): 8184, (7, "K3"): 17296, (7, "P3"): 383520,
-    }
+    # a copy of K_k is a set of k mutually orthogonal vectors: the ordered
+    # k-tuple count divided by k!
+    frozen = {(5, 2): 1476, (5, 3): 2024, (7, 2): 8184, (7, 3): 17296}
     failures = []
     ratios = []
     for q in (5, 7):
         g = build_affine_graph(q, 3)
         full = VertexSubset.full(g)
-        for name, pattern in patterns:
-            observed = count_copies(full, pattern)
-            predicted = (
-                full.size**pattern.vertex_count
-                * g.degree**pattern.edge_count
-                / (pattern.aut_count * g.n**pattern.edge_count)
-            )
-            ratio = observed / predicted
-            ratios.append(f"{name}@q={q}:{ratio:.3f}")
-            if not (1 - 3 / q <= ratio <= 1 + 3 / q) or observed != frozen[(q, name)]:
-                failures.append((q, name, observed, ratio))
+        for k in (2, 3):
+            observed, rest = divmod(count_ordered_tuples(full, k), math.factorial(k))
+            ratio = observed / predict_copy_count(full.size, g.n, g.degree, k)
+            ratios.append(f"K{k}@q={q}:{ratio:.3f}")
+            if not (1 - 3 / q <= ratio <= 1 + 3 / q) or rest or observed != frozen[(q, k)]:
+                failures.append((q, k, observed, ratio))
     report(
         7,
         not failures,

@@ -21,7 +21,7 @@ from orthocount.asymptotics import (
     threshold_old,
     validity_margin,
 )
-from orthocount.counting import PatternGraph, count_ordered_tuples
+from orthocount.counting import count_ordered_tuples
 from orthocount.graphs import build_affine_graph
 
 G33 = build_affine_graph(3, 3)
@@ -46,13 +46,11 @@ def test_predict_tuple_count_validation():
 
 
 def test_predict_copy_count_examples():
-    k2 = PatternGraph.complete(2)
-    assert predict_copy_count(26, 26, 8, k2) == pytest.approx(26**2 / 2 * 8 / 26)
-    assert predict_copy_count(26, 26, 8, k2) == pytest.approx(104)
-    single = PatternGraph.complete(1)
-    assert predict_copy_count(17, 26, 8, single) == 17
+    assert predict_copy_count(26, 26, 8, 2) == pytest.approx(26**2 / 2 * 8 / 26)
+    assert predict_copy_count(26, 26, 8, 2) == pytest.approx(104)
+    assert predict_copy_count(17, 26, 8, 1) == 17
     with pytest.raises(ValueError):
-        predict_copy_count(10, 26, 0, k2)
+        predict_copy_count(10, 26, 0, 2)
 
 
 def test_copy_prediction_approaches_tuple_prediction():
@@ -64,8 +62,7 @@ def test_copy_prediction_approaches_tuple_prediction():
                 if d < 2 * k - 1:
                     continue
                 n, degree = q**d - 1, q ** (d - 1) - 1
-                clique = PatternGraph.complete(k)
-                ratio = predict_copy_count(n, n, degree, clique) / predict_tuple_count(n, q, k)
+                ratio = predict_copy_count(n, n, degree, k) / predict_tuple_count(n, q, k)
                 assert 0.5 <= ratio <= 1.0, (q, d, k, ratio)
                 if q >= 5:
                     assert abs(1 - ratio) <= 5 * k * k / q
@@ -118,23 +115,21 @@ def test_compare_thresholds_reports_exact_exponents():
 
 
 def test_validity_margin_example():
-    margin = validity_margin(624, 5, 4, PatternGraph.complete(2))
+    margin = validity_margin(624, 5, 4, 2)
     # lambda = 4*5 = 20, n/degree = 624/124, so margin = 124/20 exactly
     assert margin == pytest.approx(6.2)
 
 
 def test_validity_margin_monotone_in_m():
-    k3 = PatternGraph.complete(3)
-    margins = [validity_margin(m, 5, 4, k3) for m in range(10, 600, 25)]
+    margins = [validity_margin(m, 5, 4, 3) for m in range(10, 600, 25)]
     assert all(a < b for a, b in zip(margins, margins[1:]))
 
 
 def test_validity_margin_tracks_new_threshold_for_cliques():
     # for K_k the margin denominator is threshold_new up to (1 - q^-1) factors
     for q, d, k in [(3, 4, 2), (5, 4, 3), (7, 3, 2)]:
-        clique = PatternGraph.complete(k)
         m = q ** (d - 1)
-        margin = validity_margin(m, q, d, clique)
+        margin = validity_margin(m, q, d, k)
         rough = m / threshold_new(q, d, k)
         assert 0.5 <= margin / rough <= 2.0
 
@@ -227,6 +222,8 @@ def test_config_validation():
         ExperimentConfig(q=3, d=3, k=2, densities=(1.5,), trials=1, master_seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(q=3, d=3, k=2, densities=(0.5,), trials=1, master_seed=0, family="projective")
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        ExperimentConfig(q=3, d=3, k=0, densities=(0.5,), trials=1, master_seed=0)
 
 
 def test_config_warns_outside_lemma_range():
@@ -275,7 +272,7 @@ def test_rows_are_reproducible_and_consistent():
         assert r.predicted_main == scaled
         assert r.relative_error == abs(r.observed - scaled) / scaled
         assert r.threshold_new == threshold_new(3, 3, 2)
-        assert r.validity_margin == validity_margin(r.m, 3, 3, PatternGraph.complete(2))
+        assert r.validity_margin == validity_margin(r.m, 3, 3, 2)
 
 
 def test_full_space_error_vanishes_along_q():

@@ -1,13 +1,19 @@
 """End-to-end CLI behavior: subcommands, exit codes, file contracts."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orthocount
 from orthocount import spectral
@@ -19,23 +25,39 @@ from orthocount.graphs import build_affine_graph, parse_graph_export
 SRC_DIR = Path(orthocount.__file__).resolve().parents[1]
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None, address_space=None):
     """Run ``python -m orthocount`` in a child process.
 
     The child inherits the caller's environment with ``env`` layered on
     top, and imports ``orthocount`` from the same source tree as the
-    in-process tests rather than from any installed copy.
+    in-process tests rather than from any installed copy.  A timeout
+    kills the child and raises subprocess.TimeoutExpired; address_space
+    caps the child's virtual memory in bytes.
     """
     child_env = {**os.environ, **(env or {})}
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC_DIR), child_env.get("PYTHONPATH")])
     )
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "orthocount", *args],
         capture_output=True,
         text=True,
         env=child_env,
+        timeout=timeout,
+        preexec_fn=limit if address_space else None,
     )
+
+
+def assert_one_error_line(result, message=""):
+    assert result.returncode == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("orthocount: error:")
+    assert message in line
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +127,34 @@ def test_predict_output(capsys):
 )
 def test_predict_failures_are_one_error_line(q, d, k, m, message):
     result = run_cli("predict", "--q", str(q), "--d", str(d), "--k", str(k), "--m", str(m))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    [line] = result.stderr.splitlines()
-    assert line.startswith("orthocount: error:")
-    assert message in line
+    assert_one_error_line(result, message)
+
+
+def test_predict_rejects_k_below_one(capsys):
+    assert main(["predict", "--q", "3", "--d", "4", "--k", "0", "--m", "81"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "orthocount: error: k must be >= 1, got 0\n"
+
+
+HUGE = 10**30
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("build", "--family", "affine", "--q", "9", "--d", str(HUGE)),
+        ("verify-spectrum", "--family", "projective", "--q", "9", "--d", str(HUGE)),
+        ("count", "--q", "9", "--d", str(HUGE), "--k", "2"),
+        ("predict", "--q", "9", "--d", str(HUGE), "--k", "2", "--m", "4"),
+        ("predict", "--q", "5", "--d", "1", "--k", str(HUGE), "--m", "4"),
+    ],
+)
+def test_huge_arguments_fail_fast(args):
+    # neither q**d nor m**k may be taken: with 2 GiB of address space the
+    # child must give its one error line well inside the timeout
+    result = run_cli(*args, timeout=20, address_space=2 << 30)
+    assert_one_error_line(result)
 
 
 def test_predict_large_clique(capsys):
@@ -288,6 +333,15 @@ def test_experiment_header_only_for_empty_rows(tmp_path):
     assert json.loads(out_json.read_text()) == []
 
 
+def test_experiment_rejects_k_below_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace("k = 2", "k = 0"))
+    out_csv = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg), "--out-csv", str(out_csv)]) == 1
+    assert capsys.readouterr().err == "orthocount: error: k must be >= 1, got 0\n"
+    assert not out_csv.exists()
+
+
 def test_experiment_missing_config_is_runtime_error(tmp_path, capsys):
     assert main([
         "experiment", "--config", str(tmp_path / "nope.cfg"),
@@ -307,3 +361,51 @@ def test_subprocess_round_trip(tmp_path):
     assert json.loads(result.stdout) == {"m": 26, "k": 2, "lambda_k": 200}
     bad = run_cli("bogus")
     assert bad.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over a grammar of argument vectors
+# ---------------------------------------------------------------------------
+
+NUMBER = st.integers(-3, 40) | st.just(HUGE)
+# the K_k count enumerates class cliques of up to k classes, which for
+# k >= 5 takes seconds on some admissible graphs (GF(2)^8, GF(3)^6)
+COUNT_K = st.integers(-3, 4) | st.just(HUGE)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["build", "verify-spectrum", "count", "predict"]))
+    flags = {}
+    if command != "predict":
+        flags["--family"] = draw(st.sampled_from(["projective", "affine"]))
+    flags["--q"] = draw(NUMBER)
+    flags["--d"] = draw(NUMBER)
+    if command == "count":
+        flags["--k"] = draw(COUNT_K)
+    if command == "predict":
+        flags["--k"] = draw(NUMBER)
+        flags["--m"] = draw(NUMBER)
+    # now and then a required flag is missing, which is a usage error
+    dropped = draw(st.sampled_from([None, None, None, *flags]))
+    argv = [command]
+    for flag, value in flags.items():
+        if flag != dropped:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_cli_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"ORTHOCOUNT_MAX_N": "400"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("orthocount: error:"), (argv, lines)

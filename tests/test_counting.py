@@ -1,4 +1,4 @@
-"""Tuple and pattern-copy counting: oracle equivalence and invariants."""
+"""Ordered tuple and K_k copy counting: oracle equivalence and invariants."""
 
 import math
 import random
@@ -8,57 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocount.counting import (
-    PatternGraph,
-    VertexSubset,
-    automorphism_count,
-    count_copies,
-    count_ordered_tuples,
-    count_ordered_tuples_oracle,
-)
+from orthocount.counting import VertexSubset, count_ordered_tuples, count_ordered_tuples_oracle
 from orthocount.errors import BoundExceededError
 from orthocount.graphs import build_affine_graph, build_projective_graph
 from orthocount.vectors import dot
 
 G33 = build_affine_graph(3, 3)
 G34 = build_affine_graph(3, 4)
-
-
-# ---------------------------------------------------------------------------
-# pattern graphs
-# ---------------------------------------------------------------------------
-
-
-def test_automorphism_examples():
-    assert automorphism_count(PatternGraph.complete(3)) == 6
-    assert automorphism_count(PatternGraph.path(3)) == 2
-    assert automorphism_count(PatternGraph.complete(4)) == 24
-    assert automorphism_count(PatternGraph.cycle(5)) == 10
-    assert automorphism_count(PatternGraph(1, ())) == 1
-
-
-def test_automorphism_size_cap():
-    with pytest.raises(BoundExceededError):
-        automorphism_count(PatternGraph(9, ()))
-    # K_s needs no enumeration, so the cap does not apply to it
-    assert PatternGraph.complete(9).aut_count == math.factorial(9)
-
-
-def test_pattern_validation():
-    with pytest.raises(ValueError):
-        PatternGraph(3, ((0, 0),))  # loop
-    with pytest.raises(ValueError):
-        PatternGraph(3, ((0, 1), (1, 0)))  # duplicate
-    with pytest.raises(ValueError):
-        PatternGraph(2, ((0, 2),))  # out of range
-
-
-def test_pattern_derived_fields():
-    p3 = PatternGraph.path(3)
-    assert (p3.vertex_count, p3.edge_count, p3.max_degree) == (3, 2, 2)
-    k4 = PatternGraph.complete(4)
-    assert (k4.edge_count, k4.max_degree, k4.aut_count) == (6, 3, 24)
-    assert math.factorial(k4.vertex_count) % k4.aut_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -199,38 +155,34 @@ def test_monotonicity_under_vertex_addition(indices, extra, k):
 @given(indices=st.sets(st.integers(0, G33.n - 1), max_size=12), k=st.integers(1, 4))
 def test_copies_times_factorial_is_ordered_count(indices, k):
     sub = VertexSubset.from_indices(G33, indices)
-    copies = count_copies(sub, PatternGraph.complete(k))
-    assert copies * math.factorial(k) == count_ordered_tuples(sub, k)
+    ordered = count_ordered_tuples_oracle(sub, k)
+    assert ordered % math.factorial(k) == 0
+    assert ordered == count_ordered_tuples(sub, k)
 
 
 # ---------------------------------------------------------------------------
-# pattern copies
+# K_k copies: ordered k-tuples divided by k!
 # ---------------------------------------------------------------------------
+
+
+def copies(subset, k):
+    return count_ordered_tuples(subset, k) // math.factorial(k)
 
 
 def test_copies_k2_full_g33():
-    assert count_copies(VertexSubset.full(G33), PatternGraph.complete(2)) == 100
+    assert copies(VertexSubset.full(G33), 2) == 100
 
 
 def test_copies_empty_subset():
     empty = VertexSubset.from_indices(G33, [])
-    for pattern in (PatternGraph.complete(1), PatternGraph.complete(3), PatternGraph.path(3)):
-        assert count_copies(empty, pattern) == 0
+    for k in (1, 3):
+        assert copies(empty, k) == 0
+        assert count_ordered_tuples_oracle(empty, k) == 0
 
 
 def test_copies_single_vertex_pattern_counts_members():
     sub = VertexSubset.from_indices(G33, range(9))
-    assert count_copies(sub, PatternGraph.complete(1)) == 9
-
-
-def test_path_copies_against_hand_count():
-    # P3 copies = sum over middles of C(non-loop-degree, 2)
-    full = VertexSubset.full(G33)
-    expected = 0
-    for i in range(G33.n):
-        deg = (G33.neighbors(i) & ~(1 << i)).bit_count()
-        expected += deg * (deg - 1) // 2
-    assert count_copies(full, PatternGraph.path(3)) == expected
+    assert copies(sub, 1) == 9
 
 
 def test_k1_and_k2_tuple_counts_have_closed_forms():

@@ -70,18 +70,55 @@ def test_matrix_bound_enforced():
         verify_affine_square_identity(g, max_vertices=10)
 
 
+def corrupt(g):
+    """g with bit 5 of class row 0 flipped: breaks symmetry and regularity."""
+    rows = list(g.class_rows)
+    rows[0] ^= 1 << 5
+    return dataclasses.replace(g, class_rows=tuple(rows))
+
+
 def test_corrupted_adjacency_is_detected():
-    g = build_projective_graph(3, 3)
-    rows = list(g.rows)
-    rows[0] ^= 1 << 5  # break symmetry/regularity in one row
-    bad = dataclasses.replace(g, class_rows=tuple(rows))  # projective: rows are class rows
-    report = verify_projective_square_identity(bad)
+    report = verify_projective_square_identity(corrupt(build_projective_graph(3, 3)))
     assert not report.passed
     assert report.violations
     i, j, expected, actual = report.first_violation()
     assert expected != actual
     # first violation is the lexicographically smallest mismatch
     assert (i, j) == min((v[0], v[1]) for v in report.violations)
+
+
+def test_corrupted_affine_adjacency_is_detected():
+    report = verify_affine_square_identity(corrupt(build_affine_graph(3, 3)))
+    assert not report.passed
+    i, j, expected, actual = report.first_violation()
+    assert expected != actual
+    assert (i, j) == min((v[0], v[1]) for v in report.violations)
+
+
+# (family, q, d) -> violations of the corrupted graph, recorded from the
+# separate projective and affine checks this verifier replaced
+CORRUPTED_VIOLATIONS = {
+    ("projective", 3, 3): (
+        (0, 0, 4, 5), (0, 1, 1, 2), (0, 9, 1, 2), (0, 11, 1, 2), (0, 12, 1, 2),
+        (1, 0, 1, 2), (9, 0, 1, 2), (11, 0, 1, 2), (12, 0, 1, 2),
+    ),
+    ("affine", 3, 3): (
+        (0, 0, 8, 10), (0, 1, 8, 10), (0, 2, 2, 4), (0, 3, 2, 4), (0, 18, 2, 4),
+        (0, 19, 2, 4), (0, 22, 2, 4), (0, 23, 2, 4), (0, 24, 2, 4), (0, 25, 2, 4),
+    ),
+    ("affine", 4, 3): (
+        (0, 0, 15, 12), (0, 1, 15, 12), (0, 2, 15, 12), (0, 3, 3, 0), (0, 4, 3, 0),
+        (0, 5, 3, 0), (0, 6, 3, 0), (0, 7, 3, 0), (0, 8, 3, 0), (0, 9, 3, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("family,q,d", sorted(CORRUPTED_VIOLATIONS))
+def test_corrupted_violations_are_frozen(family, q, d):
+    builder = build_affine_graph if family == "affine" else build_projective_graph
+    report = verify_square_identity(corrupt(builder(q, d)))
+    assert not report.passed
+    assert report.violations == CORRUPTED_VIOLATIONS[(family, q, d)]
 
 
 def test_trace_equals_loop_count():
