@@ -35,17 +35,8 @@ from .spectral import (
     IdentityReport,
     SpectralProfile,
     predicted_spectrum,
-    verify_affine_square_identity,
-    verify_projective_square_identity,
     verify_square_identity,
 )
-from .vectors import (
-    dot,
-    enumerate_nonzero_vectors,
-    format_vector,
-    is_orthogonal,
-    parse_vector,
-    projective_representatives,
-)
+from .vectors import format_vector, parse_vector, projective_representatives
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
-"""Exact arithmetic in GF(p^e) with deterministic field construction.
+"""GF(p^e) with deterministic construction, as digit and matrix arrays.
 
-Field elements are plain integer indices in [0, q).  The index encodes the
+Field elements are plain integer codes in [0, q).  The code encodes the
 coefficient vector of the residue polynomial in base p, constant term least
-significant: index a represents a_0 + a_1 t + ... + a_{e-1} t^{e-1} where
-a = a_0 + a_1 p + ... + a_{e-1} p^{e-1}.  Index 0 is the additive identity
-and index 1 the multiplicative identity.
+significant: code a represents a_0 + a_1 t + ... + a_{e-1} t^{e-1} where
+a = a_0 + a_1 p + ... + a_{e-1} p^{e-1}.  Code 0 is the additive identity
+and code 1 the multiplicative identity.
 
 The reducing modulus for an extension field is the monic irreducible
 polynomial of degree e whose non-leading coefficients, read as a base-p
@@ -13,23 +13,23 @@ construction deterministic across runs and platforms without external
 polynomial tables.  For e = 1 the modulus is fixed to t (unused by the
 arithmetic).
 
-Prime fields use direct modular arithmetic.  Extension fields of order
-q <= 256 precompute full addition/multiplication/inversion tables, since
-dot products dominate runtime in graph construction; larger extension
-fields reduce polynomial products on demand.
+All arithmetic goes through two arrays: element_digits (the e base-p
+digits of every element, so addition is digit-wise mod p) and
+multiplication_matrices (multiplication by a as a GF(p)-linear map on
+digits).  A prime field is the case e = 1: the one digit of a is a, and
+its matrix is [a].  Whole dot products, and vertex scaling, are one
+integer matrix product on these arrays followed by mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BoundExceededError
 
 DEFAULT_MAX_ORDER = 1 << 20
-TABLE_LIMIT = 256
 
 
 def is_prime(n: int) -> bool:
@@ -87,10 +87,10 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """A finite field GF(p^e) operating on integer element indices.
-
-    Instances are immutable and all operations are pure functions, so a
-    Field is safe for unrestricted concurrent use.
+    """The parameters of GF(p^e): characteristic, degree, order and the
+    reducing modulus.  Arithmetic is in element_digits and
+    multiplication_matrices.  Instances are immutable, so a Field is safe
+    for unrestricted concurrent use.
     """
 
     p: int
@@ -98,119 +98,9 @@ class Field:
     q: int
     modulus: tuple[int, ...]
 
-    # -- scalar arithmetic ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        tables = self._tables
-        if tables is not None:
-            return tables[0][a][b]
-        return self._index(
-            [(x + y) % self.p for x, y in zip(self._digits_of(a), self._digits_of(b))]
-        )
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self._index([(-x) % self.p for x in self._digits_of(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.e == 1:
-            return (a * b) % self.p
-        tables = self._tables
-        if tables is not None:
-            return tables[1][a][b]
-        return self._poly_mul(a, b)
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroDivisionError for a = 0.
-
-        Computed by Fermat exponentiation a^(q-2); for prime fields this
-        is Python's native three-argument pow.
-        """
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.spec_string()}")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        tables = self._tables
-        if tables is not None:
-            return tables[2][a]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, n: int) -> int:
-        """a raised to a non-negative integer power n."""
-        self._check(a)
-        if n < 0:
-            raise ValueError("negative exponents not supported; use inv")
-        if self.e == 1:
-            return pow(a, n, self.p)
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def elements(self) -> range:
-        return range(self.q)
-
     def spec_string(self) -> str:
         """Canonical serialization, e.g. "GF(2^2; modulus=1,1,1)"."""
         return f"GF({self.p}^{self.e}; modulus={','.join(map(str, self.modulus))})"
-
-    # -- internals ---------------------------------------------------------
-
-    def _check(self, a: int) -> None:
-        if not 0 <= a < self.q:
-            raise ValueError(f"element index {a} out of range [0, {self.q})")
-
-    def _digits_of(self, a: int) -> list[int]:
-        return _digits(a, self.p, self.e)
-
-    def _index(self, digits: list[int]) -> int:
-        acc = 0
-        for c in reversed(digits):
-            acc = acc * self.p + c
-        return acc
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        da, db = self._digits_of(a), self._digits_of(b)
-        e, p = self.e, self.p
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        prod = [c % p for c in prod]
-        return self._index(_poly_rem(prod, list(self.modulus), p))
-
-    @cached_property
-    def _tables(self) -> tuple[list, list, list] | None:
-        # Full q x q tables; only worthwhile for small extension fields.
-        if self.e == 1 or self.q > TABLE_LIMIT:
-            return None
-        dig = element_digits(self)
-        mats = multiplication_matrices(self)
-        weights = self.p ** np.arange(self.e, dtype=np.int64)
-        add_t = ((dig[:, None, :] + dig[None, :, :]) % self.p) @ weights
-        mul_t = (np.einsum("aij,bj->abi", mats, dig) % self.p) @ weights
-        inv_t = [0] * self.q
-        for a, b in np.argwhere(mul_t == 1):
-            inv_t[int(a)] = int(b)
-        return add_t.tolist(), mul_t.tolist(), inv_t
 
 
 def make_field(p: int, e: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:

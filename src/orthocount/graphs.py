@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BoundExceededError, OrthocountError
 from .fields import Field, element_digits, field_from_order, multiplication_matrices
-from .vectors import Vector, projective_representatives, scale
+from .vectors import Vector, projective_representatives
 
 DEFAULT_MAX_VERTICES = 20_000
 
@@ -76,9 +76,16 @@ class OrthoGraph:
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
+        """Vertex i is ((i mod b) + 1) times class i // b, b = blowup:
+        the digits of s * rep are multiplication_matrices[s] @ digits."""
         if self.blowup == 1:
             return self.classes
-        return tuple(scale(self.field, s, rep) for rep in self.classes for s in range(1, self.q))
+        field = self.field
+        digits = element_digits(field)[np.array(self.classes)]  # (classes, d, e)
+        scalars = multiplication_matrices(field)[1:]  # (q - 1, e, e)
+        prods = np.einsum("sij,cxj->csxi", scalars, digits) % field.p
+        codes = prods @ field.p ** np.arange(field.e, dtype=np.int64)
+        return tuple(map(tuple, codes.reshape(self.n, self.d).tolist()))
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
@@ -90,12 +97,6 @@ class OrthoGraph:
     @cached_property
     def loops(self) -> int:
         return _widen(self.class_loops, len(self.classes), self.blowup)
-
-    def neighbors(self, i: int) -> int:
-        """Adjacency row i as a bit vector; popcount equals the degree."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"vertex index {i} out of range [0, {self.n})")
-        return self.rows[i]
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.class_rows[i // self.blowup] >> (j // self.blowup)) & 1)
@@ -174,7 +175,7 @@ def _build(family: str, q: int, d: int, max_vertices: int) -> OrthoGraph:
     n = (q**d - 1) // (q - 1) * blowup
     if n > max_vertices:
         raise BoundExceededError(f"{family} graph order {n} exceeds bound {max_vertices}")
-    classes = projective_representatives(field, d, max_points=max(q**d, 1))
+    classes = projective_representatives(field, d)
     rows = _orthogonality_rows(field, np.array(classes, dtype=np.int64))
     class_degree = (q ** (d - 1) - 1) // (q - 1)
     loops = 0

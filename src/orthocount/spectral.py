@@ -110,26 +110,6 @@ def verify_square_identity(
     )
 
 
-def verify_projective_square_identity(
-    graph: OrthoGraph, max_vertices: int = DEFAULT_MAX_CHECK_VERTICES
-) -> IdentityReport:
-    """verify_square_identity for a projective graph: A @ A.T == mu*J +
-    (degree - mu)*I."""
-    if graph.family != PROJECTIVE:
-        raise ValueError(f"expected a projective graph, got {graph.family}")
-    return verify_square_identity(graph, max_vertices)
-
-
-def verify_affine_square_identity(
-    graph: OrthoGraph, max_vertices: int = DEFAULT_MAX_CHECK_VERTICES
-) -> IdentityReport:
-    """verify_square_identity for an all-vectors graph: the block form
-    with blocks of q - 1 scalar multiples."""
-    if graph.family != AFFINE:
-        raise ValueError(f"expected an affine graph, got {graph.family}")
-    return verify_square_identity(graph, max_vertices)
-
-
 def predicted_spectrum(q: int, d: int, family: str) -> SpectralProfile:
     """Closed-form (n, degree, |second eigenvalue|, codegree) profile."""
     if d < 2:

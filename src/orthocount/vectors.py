@@ -1,93 +1,47 @@
-"""Vectors in F_q^d: dot products, orthogonality, point enumeration.
+"""Projective points of F_q^d and the text form of vectors.
 
-A vector is a plain tuple of element indices; the field travels alongside
-as an explicit argument.  Enumeration order is fixed everywhere as the
-base-q integer encoding of the coordinates with coordinate 1 least
-significant, which is what makes graph vertex orderings (and hence all
-reports) reproducible byte for byte.
+A vector is a plain tuple of element codes (see fields).  Enumeration
+order is fixed everywhere as the base-q integer encoding of the
+coordinates with coordinate 1 least significant, which is what makes
+graph vertex orderings (and hence all reports) reproducible byte for
+byte.
 """
 
 from __future__ import annotations
 
-from .errors import BoundExceededError
-from .fields import Field
+import numpy as np
 
-DEFAULT_MAX_POINTS = 1 << 22
+from .fields import Field
 
 Vector = tuple[int, ...]
 
 
-def dot(field: Field, u: Vector, v: Vector) -> int:
-    """Sum of coordinate-wise products u_i * v_i in the field."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    acc = 0
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
-def is_orthogonal(field: Field, u: Vector, v: Vector) -> bool:
-    """True when the dot product vanishes; u = v is permitted, so
-    self-orthogonal vectors report True (these become graph loops)."""
-    return dot(field, u, v) == 0
-
-
-def scale(field: Field, s: int, v: Vector) -> Vector:
-    return tuple(field.mul(s, c) for c in v)
-
-
-def decode_vector(code: int, q: int, d: int) -> Vector:
-    """Inverse of the base-q encoding, coordinate 1 least significant."""
-    out = []
-    for _ in range(d):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
-
-
-def encode_vector(v: Vector, q: int) -> int:
-    acc = 0
-    for c in reversed(v):
-        acc = acc * q + c
-    return acc
-
-
-def enumerate_nonzero_vectors(
-    field: Field, d: int, max_points: int = DEFAULT_MAX_POINTS
-) -> list[Vector]:
-    """All q^d - 1 nonzero vectors in encoding order."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    total = field.q**d
-    if total > max_points:
-        raise BoundExceededError(f"q^d = {total} exceeds enumeration bound {max_points}")
-    return [decode_vector(code, field.q, d) for code in range(1, total)]
-
-
-def projective_representatives(
-    field: Field, d: int, max_points: int = DEFAULT_MAX_POINTS
-) -> list[Vector]:
-    """One canonical representative per projective equivalence class.
+def projective_representatives(field: Field, d: int) -> list[Vector]:
+    """One canonical representative per projective equivalence class, in
+    encoding order.
 
     The representative is the unique scalar multiple whose first nonzero
-    coordinate (lowest index) equals 1; listing nonzero vectors in
-    encoding order and keeping exactly those yields the representatives
-    already sorted by their own encoding.
+    coordinate (lowest index) equals 1.  Putting a coordinate c below a
+    vector of code h gives code c + q*h, which is a representative exactly
+    when c = 1, or c = 0 and h is one.  A mask over the codes of the top
+    d - 1 coordinates is grown that way, and the last step, where only
+    c in {0, 1} can occur, reads the codes off in ascending order: no
+    sort, and nothing of size q^d.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    total = field.q**d
-    if total > max_points:
-        raise BoundExceededError(f"q^d = {total} exceeds enumeration bound {max_points}")
-    reps = []
     q = field.q
-    for code in range(1, total):
-        v = decode_vector(code, q, d)
-        first = next(c for c in v if c != 0)
-        if first == 1:
-            reps.append(v)
-    return reps
+    is_rep = np.zeros(1, dtype=bool)  # the empty vector is no representative
+    for _ in range(d - 1):
+        grown = np.zeros((is_rep.size, q), dtype=bool)
+        grown[:, 0] = is_rep
+        grown[:, 1] = True
+        is_rep = grown.ravel()
+    high = q * np.arange(is_rep.size, dtype=np.int64)
+    keep = np.stack([is_rep, np.ones_like(is_rep)], axis=1)
+    codes = np.stack([high, high + 1], axis=1)[keep]
+    coords = codes[:, None] // q ** np.arange(d, dtype=np.int64) % q
+    return list(map(tuple, coords.tolist()))
 
 
 def format_vector(v: Vector) -> str:

@@ -12,6 +12,8 @@ import time
 from fractions import Fraction
 from statistics import median
 
+from field_oracle import axiom_failures
+
 from orthocount.asymptotics import (
     ExperimentConfig,
     compare_thresholds,
@@ -28,10 +30,7 @@ from orthocount.counting import (
 )
 from orthocount.fields import make_field
 from orthocount.graphs import build_affine_graph, build_projective_graph
-from orthocount.spectral import (
-    verify_affine_square_identity,
-    verify_projective_square_identity,
-)
+from orthocount.spectral import verify_square_identity
 
 PROJECTIVE_GRID = [(2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (5, 3), (5, 4), (7, 3)]
 AFFINE_GRID = [(2, 3), (3, 3), (3, 4), (5, 3), (5, 4)]
@@ -56,8 +55,8 @@ def test_criterion_01_projective_spectral_identity():
     start = time.perf_counter()
     failures = []
     for q, d in PROJECTIVE_GRID:
-        rep = verify_projective_square_identity(graph("projective", q, d))
-        if not rep.passed:
+        rep = verify_square_identity(graph("projective", q, d))
+        if not rep.passed or rep.family != "projective":
             failures.append((q, d, rep.first_violation()))
     elapsed = time.perf_counter() - start
     report(
@@ -71,9 +70,9 @@ def test_criterion_01_projective_spectral_identity():
 def test_criterion_02_affine_spectral_identity():
     failures = []
     for q, d in AFFINE_GRID:
-        rep = verify_affine_square_identity(graph("affine", q, d))
+        rep = verify_square_identity(graph("affine", q, d))
         rho = q ** (d - 2) - 1
-        if not rep.passed or rep.codegree != rho:
+        if not rep.passed or rep.family != "affine" or rep.codegree != rho:
             failures.append((q, d))
     report(
         2,
@@ -88,13 +87,13 @@ def test_criterion_03_regularity_closed_forms():
         g = graph("projective", q, d)
         if (g.n, g.degree) != ((q**d - 1) // (q - 1), (q ** (d - 1) - 1) // (q - 1)):
             bad.append(("projective", q, d))
-        if any(g.neighbors(i).bit_count() != g.degree for i in range(g.n)):
+        if any(row.bit_count() != g.degree for row in g.rows):
             bad.append(("projective-rows", q, d))
     for q, d in AFFINE_GRID:
         g = graph("affine", q, d)
         if (g.n, g.degree) != (q**d - 1, q ** (d - 1) - 1):
             bad.append(("affine", q, d))
-        if any(g.neighbors(i).bit_count() != g.degree for i in range(g.n)):
+        if any(row.bit_count() != g.degree for row in g.rows):
             bad.append(("affine-rows", q, d))
     report(3, not bad, f"n and degree match closed forms on all {len(PROJECTIVE_GRID) + len(AFFINE_GRID)} graphs")
 
@@ -235,21 +234,7 @@ def test_criterion_09_experiment_determinism(tmp_path):
 def test_criterion_10_field_axioms():
     start = time.perf_counter()
     specs = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
-    bad = []
-    for p, e in specs:
-        f = make_field(p, e)
-        els = list(f.elements())
-        for a in els:
-            if f.add(a, f.neg(a)) != 0 or (a and f.mul(a, f.inv(a)) != 1):
-                bad.append((p, e, a))
-            for b in els:
-                for c in els:
-                    if f.add(f.add(a, b), c) != f.add(a, f.add(b, c)):
-                        bad.append(("add-assoc", p, e))
-                    if f.mul(f.mul(a, b), c) != f.mul(a, f.mul(b, c)):
-                        bad.append(("mul-assoc", p, e))
-                    if f.mul(a, f.add(b, c)) != f.add(f.mul(a, b), f.mul(a, c)):
-                        bad.append(("distrib", p, e))
+    bad = [(p, e, name) for p, e in specs for name in axiom_failures(make_field(p, e))]
     elapsed = time.perf_counter() - start
     report(
         10,

@@ -1,23 +1,23 @@
-"""Field arithmetic tests, including an independent modulus oracle."""
+"""Field construction and the library's digit and matrix arithmetic,
+against independent naive oracles."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from field_oracle import (
+    axiom_failures,
+    matrix_add,
+    matrix_mul,
+    naive_add,
+    naive_mul,
+    oracle_poly_mul,
+)
 
 from orthocount.errors import BoundExceededError
-from orthocount.fields import Field, field_from_order, is_prime, make_field
+from orthocount.fields import field_from_order, is_prime, make_field
 
 # ---------------------------------------------------------------------------
-# independent polynomial oracle (deliberately naive, no shared code paths)
+# independent modulus oracle (deliberately naive, no shared code paths)
 # ---------------------------------------------------------------------------
-
-
-def oracle_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 def oracle_trim(a):
@@ -128,35 +128,24 @@ def test_is_prime_small():
 
 
 def test_arithmetic_examples():
+    # (field, a, b, a*b); inverses show as products equal to 1
+    examples = [
+        ((3, 1), 2, 2, 1),
+        ((5, 1), 2, 3, 1),
+        ((7, 1), 3, 5, 1),
+        # with modulus t^2+t+1: t*t = t+1, so code 2 squared is code 3
+        ((2, 2), 2, 2, 3),
+        ((2, 2), 2, 3, 1),
+    ]
+    for (p, e), a, b, product in examples:
+        f = make_field(p, e)
+        assert int(matrix_mul(f, a, b)) == naive_mul(f, a, b) == product
     gf3 = make_field(3, 1)
-    assert gf3.add(1, 2) == 0
-    assert gf3.inv(2) == 2
-    gf5 = make_field(5, 1)
-    assert gf5.mul(2, 3) == 1
-    gf7 = make_field(7, 1)
-    assert gf7.inv(3) == 5
-    gf4 = make_field(2, 2)
-    # with modulus t^2+t+1: t*t = t+1, so index 2 squared is index 3
-    assert gf4.mul(2, 2) == 3
-    assert gf4.inv(2) == 3
-
-
-def test_zero_has_no_inverse():
-    for f in (make_field(5, 1), make_field(2, 2), make_field(2, 9)):
-        with pytest.raises(ZeroDivisionError):
-            f.inv(0)
-
-
-def test_index_out_of_range():
-    f = make_field(3, 1)
-    with pytest.raises(ValueError):
-        f.add(0, 3)
-    with pytest.raises(ValueError):
-        f.mul(-1, 0)
+    assert int(matrix_add(gf3, 1, 2)) == naive_add(gf3, 1, 2) == 0
 
 
 # ---------------------------------------------------------------------------
-# axioms, exhaustive for q <= 64
+# axioms of the digit and matrix arithmetic, exhaustive for q <= 64
 # ---------------------------------------------------------------------------
 
 AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4), (2, 6)]
@@ -164,54 +153,53 @@ AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4), (2, 6)]
 
 @pytest.mark.parametrize("p,e", AXIOM_FIELDS)
 def test_field_axioms_exhaustive(p, e):
-    f = make_field(p, e)
-    els = list(f.elements())
-    for a in els:
-        assert f.add(a, f.neg(a)) == 0
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
-        for b in els:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-    for a in els:
-        for b in els:
-            for c in els:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert axiom_failures(make_field(p, e)) == []
 
 
 @pytest.mark.parametrize("p,e", AXIOM_FIELDS)
 def test_multiplicative_group_order(p, e):
     f = make_field(p, e)
-    for a in range(1, f.q):
-        assert f.pow(a, f.q - 1) == 1
+    units = np.arange(1, f.q)
+    power = np.ones_like(units)
+    for _ in range(f.q - 1):
+        power = matrix_mul(f, power, units)
+    assert (power == 1).all()
 
 
-# large fields beyond the table limit exercise the on-demand path
 BIG_FIELDS = [make_field(2, 9), make_field(3, 6), make_field(5, 4)]
 
 
-@settings(max_examples=200)
-@given(st.data())
-def test_axioms_sampled_in_large_fields(data):
-    f = data.draw(st.sampled_from(BIG_FIELDS))
-    a = data.draw(st.integers(0, f.q - 1))
-    b = data.draw(st.integers(0, f.q - 1))
-    c = data.draw(st.integers(0, f.q - 1))
-    assert f.add(a, b) == f.add(b, a)
-    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.add(a, f.neg(a)) == 0
-    if a:
-        assert f.mul(a, f.inv(a)) == 1
+def test_axioms_sampled_in_large_fields():
+    rng = np.random.default_rng(20240901)
+    for f in BIG_FIELDS:
+        a, b, c = rng.integers(0, f.q, size=(3, 2000))
+        assert (matrix_add(f, a, b) == matrix_add(f, b, a)).all()
+        assert (matrix_mul(f, a, b) == matrix_mul(f, b, a)).all()
+        ab_c = matrix_mul(f, matrix_mul(f, a, b), c)
+        assert (ab_c == matrix_mul(f, a, matrix_mul(f, b, c))).all()
+        assert (
+            matrix_mul(f, a, matrix_add(f, b, c))
+            == matrix_add(f, matrix_mul(f, a, b), matrix_mul(f, a, c))
+        ).all()
+        # a unique additive inverse, and a unique inverse of each nonzero a
+        row, every = a[:200, None], np.arange(f.q)[None, :]
+        assert ((matrix_add(f, row, every) == 0).sum(axis=1) == 1).all()
+        units = row[row != 0][:, None]
+        assert ((matrix_mul(f, units, every) == 1).sum(axis=1) == 1).all()
 
 
-def test_table_and_on_demand_paths_agree():
-    # GF(2^6) sits under the table limit; recompute products without tables
-    f = make_field(2, 6)
-    bare = Field(p=f.p, e=f.e, q=f.q, modulus=f.modulus)
-    object.__setattr__(bare, "_tables", None)
-    for a in range(0, f.q, 7):
-        for b in range(0, f.q, 5):
-            assert f.mul(a, b) == bare._poly_mul(a, b)
+def test_matrix_products_match_naive_mul():
+    for p, e in AXIOM_FIELDS:
+        f = make_field(p, e)
+        every = np.arange(f.q)
+        products = matrix_mul(f, every[:, None], every[None, :])
+        sums = matrix_add(f, every[:, None], every[None, :])
+        for a in range(f.q):
+            for b in range(f.q):
+                assert products[a, b] == naive_mul(f, a, b)
+                assert sums[a, b] == naive_add(f, a, b)
+    rng = np.random.default_rng(7)
+    for f in BIG_FIELDS:
+        a, b = rng.integers(0, f.q, size=(2, 300))
+        expected = [naive_mul(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert matrix_mul(f, a, b).tolist() == expected

@@ -11,8 +11,6 @@ from orthocount.errors import BoundExceededError
 from orthocount.graphs import build_affine_graph, build_projective_graph
 from orthocount.spectral import (
     predicted_spectrum,
-    verify_affine_square_identity,
-    verify_projective_square_identity,
     verify_square_identity,
 )
 
@@ -22,52 +20,45 @@ AFFINE_GRID = [(2, 3), (3, 3), (3, 4), (4, 3), (5, 3)]
 
 @pytest.mark.parametrize("q,d", PROJECTIVE_GRID)
 def test_projective_identity_passes(q, d):
-    report = verify_projective_square_identity(build_projective_graph(q, d))
-    assert report.passed
+    report = verify_square_identity(build_projective_graph(q, d))
+    assert report.passed and report.family == "projective"
     assert report.codegree == (q ** (d - 2) - 1) // (q - 1)
     assert report.violations == ()
 
 
 def test_projective_identity_examples():
-    r33 = verify_projective_square_identity(build_projective_graph(3, 3))
+    r33 = verify_square_identity(build_projective_graph(3, 3))
     assert (r33.codegree, r33.degree) == (1, 4)
-    r23 = verify_projective_square_identity(build_projective_graph(2, 3))
+    r23 = verify_square_identity(build_projective_graph(2, 3))
     assert (r23.codegree, r23.degree) == (1, 3)
-    r53 = verify_projective_square_identity(build_projective_graph(5, 3))
+    r53 = verify_square_identity(build_projective_graph(5, 3))
     assert (r53.codegree, r53.degree, r53.n) == (1, 6, 31)
 
 
 @pytest.mark.parametrize("q,d", AFFINE_GRID)
 def test_affine_identity_passes(q, d):
-    report = verify_affine_square_identity(build_affine_graph(q, d))
-    assert report.passed
+    report = verify_square_identity(build_affine_graph(q, d))
+    assert report.passed and report.family == "affine"
     assert report.codegree == q ** (d - 2) - 1
 
 
 def test_affine_identity_examples():
-    r = verify_affine_square_identity(build_affine_graph(3, 3))
+    r = verify_square_identity(build_affine_graph(3, 3))
     assert (r.codegree, r.degree) == (2, 8)
-    r54 = verify_affine_square_identity(build_affine_graph(5, 4))
+    r54 = verify_square_identity(build_affine_graph(5, 4))
     assert (r54.codegree, r54.degree, r54.n) == (24, 124, 624)
 
 
-def test_family_mismatch_rejected():
-    g = build_projective_graph(3, 3)
-    with pytest.raises(ValueError):
-        verify_affine_square_identity(g)
-    with pytest.raises(ValueError):
-        verify_projective_square_identity(build_affine_graph(3, 3))
-
-
 def test_verify_square_identity_dispatches():
-    assert verify_square_identity(build_projective_graph(3, 3)).passed
-    assert verify_square_identity(build_affine_graph(3, 3)).passed
+    for builder, family in ((build_projective_graph, "projective"), (build_affine_graph, "affine")):
+        report = verify_square_identity(builder(3, 3))
+        assert report.passed and report.family == family
 
 
 def test_matrix_bound_enforced():
     g = build_affine_graph(3, 3)
     with pytest.raises(BoundExceededError):
-        verify_affine_square_identity(g, max_vertices=10)
+        verify_square_identity(g, max_vertices=10)
 
 
 def corrupt(g):
@@ -78,7 +69,7 @@ def corrupt(g):
 
 
 def test_corrupted_adjacency_is_detected():
-    report = verify_projective_square_identity(corrupt(build_projective_graph(3, 3)))
+    report = verify_square_identity(corrupt(build_projective_graph(3, 3)))
     assert not report.passed
     assert report.violations
     i, j, expected, actual = report.first_violation()
@@ -88,7 +79,7 @@ def test_corrupted_adjacency_is_detected():
 
 
 def test_corrupted_affine_adjacency_is_detected():
-    report = verify_affine_square_identity(corrupt(build_affine_graph(3, 3)))
+    report = verify_square_identity(corrupt(build_affine_graph(3, 3)))
     assert not report.passed
     i, j, expected, actual = report.first_violation()
     assert expected != actual
@@ -157,7 +148,7 @@ def test_common_neighborhood_spot_check():
     rng = random.Random(7)
     pairs = {(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(100)}
     for i, j in pairs:
-        common = (g.neighbors(i) & g.neighbors(j)).bit_count()
+        common = (g.rows[i] & g.rows[j]).bit_count()
         if i == j:
             assert common == g.degree
         else:
