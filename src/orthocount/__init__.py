@@ -29,7 +29,6 @@ from .graphs import (
     build_affine_graph,
     build_projective_graph,
     export_graph,
-    parse_graph_export,
 )
 from .spectral import (
     IdentityReport,

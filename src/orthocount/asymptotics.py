@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .counting import VertexSubset, count_ordered_tuples
-from .graphs import AFFINE, DEFAULT_MAX_VERTICES, OrthoGraph, build_affine_graph
+from .graphs import DEFAULT_MAX_VERTICES, OrthoGraph, build_affine_graph
 
 _MASK64 = (1 << 64) - 1
 
@@ -151,16 +151,19 @@ def sample_subset(graph: OrthoGraph, m: int, seed: int) -> VertexSubset:
     if not 0 <= m <= graph.n:
         raise ValueError(f"subset size {m} out of range [0, {graph.n}]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    arr = list(range(graph.n))
+    # arr[j] of the recipe is moved.get(j, j); arr[i] is not read after step i
+    moved: dict[int, int] = {}
+    picks = []
     for i in range(m):
         j = int(rng.integers(i, graph.n))
-        arr[i], arr[j] = arr[j], arr[i]
-    return VertexSubset.from_indices(graph, arr[:m])
+        picks.append(moved.get(j, j))
+        moved[j] = moved.pop(i, i)
+    return VertexSubset(graph, np.sort(np.array(picks, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one observed-vs-predicted counting experiment.
+    """Parameters of one counting experiment on the all-vectors graph.
 
     densities entries are either explicit subset sizes (ints) or fractions
     of the vertex count (floats in (0, 1], resolved as floor(f * n)).
@@ -172,11 +175,8 @@ class ExperimentConfig:
     densities: tuple[float | int, ...]
     trials: int
     master_seed: int
-    family: str = AFFINE
 
     def __post_init__(self):
-        if self.family != AFFINE:
-            raise ValueError("experiments run on the affine family only")
         _check_k(self.k)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -192,7 +192,7 @@ class ExperimentConfig:
             warnings.warn(
                 f"d = {self.d} is below 2k - 1 = {2 * self.k - 1}; the counting "
                 "lemma's hypothesis is violated and predictions may be off",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     @classmethod
@@ -259,10 +259,7 @@ class CountReport:
     seed_used: int
 
 
-CSV_COLUMNS = (
-    "q", "d", "k", "m", "trial", "observed", "predicted_main", "predicted_alon",
-    "relative_error", "validity_margin", "threshold_new", "threshold_old", "seed_used",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(CountReport))
 
 
 def run_experiment(

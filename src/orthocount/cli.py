@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from . import asymptotics, counting, graphs, spectral
@@ -128,7 +129,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = ExperimentConfig.from_file(args.config)
+    for warning in caught:
+        print(f"orthocount: warning: {warning.message}", file=sys.stderr)
     rows = asymptotics.run_experiment(config, max_vertices=_max_vertices())
     emit_reports(rows, args.out_csv, args.out_json)
     return 0

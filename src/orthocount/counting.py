@@ -9,7 +9,8 @@ independent:
   subset members and tests all pairs on the graph's vertex rows, with no
   pruning.  It is the ground truth for small instances.
 * count_ordered_tuples works on the class graph alone (see graphs), for
-  both families.  With w_c = |S ∩ class c| for the subset S, a set of
+  both families.  A subset S is its sorted vertex indices, and its class
+  weights w_c = |S ∩ class c| are their per-class bincount.  A set of
   distinct, pairwise adjacent members meets a set C of classes that is a
   clique of the class graph (diagonal excluded); it takes j_c >= 1 members
   of each class c in C, and j_c >= 2 only when c is isotropic, since two
@@ -35,8 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BoundExceededError
 from .graphs import OrthoGraph
@@ -45,35 +49,41 @@ from .vectors import Vector
 DEFAULT_ORACLE_WORK = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSubset:
-    """A subset of graph vertices held as a member bit vector."""
+    """A vertex subset = its sorted vertex indices, distinct, in an int64
+    array; weights = their per-class bincount.  The constructor trusts
+    indices; from_indices and from_vectors validate theirs."""
 
     graph: OrthoGraph
-    members: int
-    size: int
+    indices: np.ndarray
 
-    def __post_init__(self):
-        if self.members < 0 or self.members >> self.graph.n:
-            raise ValueError("member bit vector exceeds vertex range")
-        if self.members.bit_count() != self.size:
-            raise ValueError("size does not match member popcount")
+    @property
+    def size(self) -> int:
+        return len(self.indices)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """w_c = |S ∩ class c|; class c holds vertices c*b .. c*b + b - 1."""
+        return np.bincount(self.indices // self.graph.blowup, minlength=len(self.graph.classes))
 
     @classmethod
     def full(cls, graph: OrthoGraph) -> "VertexSubset":
-        return cls(graph, (1 << graph.n) - 1, graph.n)
+        return cls(graph, np.arange(graph.n, dtype=np.int64))
 
     @classmethod
     def from_indices(cls, graph: OrthoGraph, indices: Iterable[int]) -> "VertexSubset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < graph.n:
-                raise ValueError(f"vertex index {i} out of range [0, {graph.n})")
-            bit = 1 << i
-            if mask & bit:
+        """An error names the first bad index in input order."""
+        given = np.array(list(indices), dtype=object)  # any int gets the range message
+        ordered, first = np.unique(given, return_index=True)
+        # out of range, or a repeat: not the first occurrence of its value
+        bad = (given < 0) | (given >= graph.n) | ~np.isin(np.arange(given.size), first)
+        if bad.any():
+            i = int(given[bad.argmax()])
+            if 0 <= i < graph.n:
                 raise ValueError(f"duplicate vertex index {i}")
-            mask |= bit
-        return cls(graph, mask, mask.bit_count())
+            raise ValueError(f"vertex index {i} out of range [0, {graph.n})")
+        return cls(graph, ordered.astype(np.int64))
 
     @classmethod
     def from_vectors(cls, graph: OrthoGraph, vecs: Iterable[Vector]) -> "VertexSubset":
@@ -86,15 +96,6 @@ class VertexSubset:
                 )
             indices.append(graph.vertex_index(v))
         return cls.from_indices(graph, indices)
-
-    def indices(self) -> list[int]:
-        out = []
-        m = self.members
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
 
 
 def count_ordered_tuples_oracle(
@@ -109,7 +110,7 @@ def count_ordered_tuples_oracle(
         raise BoundExceededError(f"oracle work m^k = {m}^{k} exceeds bound {max_work}")
     rows = subset.graph.rows
     count = 0
-    for tup in permutations(subset.indices(), k):
+    for tup in permutations(subset.indices.tolist(), k):
         ok = True
         for i in range(k - 1):
             row = rows[tup[i]]
@@ -124,24 +125,17 @@ def count_ordered_tuples_oracle(
     return count
 
 
-def _class_weights(subset: VertexSubset) -> list[int]:
-    """w_c = |S ∩ class c| for every class c, from the member bit vector."""
-    graph = subset.graph
-    b = graph.blowup
-    bits = format(subset.members, f"0{graph.n}b")[::-1]
-    return [bits.count("1", i, i + b) for i in range(0, graph.n, b)]
-
-
-def _weighted_clique_sum(rows: Sequence[int], loops: int, weights: list[int], k: int) -> int:
+def _weighted_clique_sum(rows: Sequence[int], loops: int, weights: np.ndarray, k: int) -> int:
     """Sum over the cliques C of the class graph of [x^k] prod_{c in C}
-    g_c(x); see the module docstring for g_c."""
+    g_c(x), for the class weights w; see the module docstring for g_c."""
     if k == 1:
-        return sum(weights)
+        return int(weights.sum())
     # (j, mask of the classes whose weight has bit j set)
     planes = [
-        (j, int("".join("1" if (w >> j) & 1 else "0" for w in reversed(weights)), 2))
-        for j in range(max(weights).bit_length())
+        (j, int.from_bytes(np.packbits((weights >> j) & 1, bitorder="little").tobytes(), "little"))
+        for j in range(int(weights.max()).bit_length())
     ]
+    weights = weights.tolist()  # exact Python integers from here on
     # coefficients of g_c for the classes where it is not w_c * x
     gen = {
         c: [0] + [math.comb(w, j) for j in range(1, k + 1)]
@@ -200,5 +194,5 @@ def count_ordered_tuples(subset: VertexSubset, k: int) -> int:
     if subset.size < k:
         return 0
     graph = subset.graph
-    weights = _class_weights(subset)
+    weights = subset.weights
     return math.factorial(k) * _weighted_clique_sum(graph.class_rows, graph.class_loops, weights, k)

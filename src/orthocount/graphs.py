@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -221,16 +221,3 @@ def export_graph(graph: OrthoGraph, stream: IO[str]) -> None:
         stream.write(format(row, f"0{width}x"))
         stream.write("\n")
 
-
-def parse_graph_export(lines: Iterable[str]) -> dict:
-    """Parse the export format back into header fields plus row integers.
-    Mainly for round-trip checks and downstream tooling."""
-    it = iter(lines)
-    header = next(it).split()
-    if len(header) != 5:
-        raise ValueError("malformed export header")
-    family, q, d, n, degree = header[0], *map(int, header[1:])
-    rows = [int(line.strip(), 16) for line in it if line.strip()]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, found {len(rows)}")
-    return {"family": family, "q": q, "d": d, "n": n, "degree": degree, "rows": rows}

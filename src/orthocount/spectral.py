@@ -19,7 +19,6 @@ eigensolver is involved anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,8 @@ Violation = tuple[int, int, int, int]  # (i, j, expected, actual)
 class SpectralProfile:
     """Closed-form spectral data implied by the square identity.
 
-    second_squared is exact; for odd d the second eigenvalue itself is
-    irrational and only its float rendering is offered.
+    second_squared, the square of the second eigenvalue, is exact; for odd
+    d the eigenvalue itself is irrational.
     """
 
     family: str
@@ -46,11 +45,6 @@ class SpectralProfile:
     degree: int
     second_squared: int
     codegree: int
-    zero_allowed: bool
-
-    @property
-    def second(self) -> float:
-        return math.sqrt(self.second_squared)
 
 
 @dataclass(frozen=True)
@@ -63,9 +57,6 @@ class IdentityReport:
     degree: int
     codegree: int
     violations: tuple[Violation, ...]
-
-    def first_violation(self) -> Violation | None:
-        return self.violations[0] if self.violations else None
 
 
 def _collect_violations(actual: np.ndarray, expected: np.ndarray) -> tuple[Violation, ...]:
@@ -121,7 +112,6 @@ def predicted_spectrum(q: int, d: int, family: str) -> SpectralProfile:
             degree=(q ** (d - 1) - 1) // (q - 1),
             second_squared=q ** (d - 2),
             codegree=(q ** (d - 2) - 1) // (q - 1),
-            zero_allowed=False,
         )
     if family == AFFINE:
         return SpectralProfile(
@@ -130,6 +120,5 @@ def predicted_spectrum(q: int, d: int, family: str) -> SpectralProfile:
             degree=q ** (d - 1) - 1,
             second_squared=(q - 1) ** 2 * q ** (d - 2),
             codegree=q ** (d - 2) - 1,
-            zero_allowed=True,
         )
     raise ValueError(f"unknown family {family!r}")

@@ -57,7 +57,7 @@ def test_criterion_01_projective_spectral_identity():
     for q, d in PROJECTIVE_GRID:
         rep = verify_square_identity(graph("projective", q, d))
         if not rep.passed or rep.family != "projective":
-            failures.append((q, d, rep.first_violation()))
+            failures.append((q, d, rep.violations[:1]))
     elapsed = time.perf_counter() - start
     report(
         1,

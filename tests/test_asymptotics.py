@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from orthocount.asymptotics import (
     validity_margin,
 )
 from orthocount.counting import count_ordered_tuples
-from orthocount.graphs import build_affine_graph
+from orthocount.graphs import build_affine_graph, build_projective_graph
 
 G33 = build_affine_graph(3, 3)
 
@@ -156,16 +157,34 @@ def test_mix_seed_is_deterministic_and_spread():
 def test_sample_subset_reproducible():
     a = sample_subset(G33, 10, 987654321)
     b = sample_subset(G33, 10, 987654321)
-    assert a.members == b.members and a.size == 10
+    assert a.indices.tolist() == b.indices.tolist() and a.size == 10
     c = sample_subset(G33, 10, 987654322)
-    assert c.members != a.members  # overwhelmingly likely, fixed seeds
+    assert c.indices.tolist() != a.indices.tolist()  # overwhelmingly likely, fixed seeds
 
 
 def test_sample_subset_edges():
-    assert sample_subset(G33, G33.n, 5).members == (1 << G33.n) - 1
-    assert sample_subset(G33, 0, 5).members == 0
+    assert sample_subset(G33, G33.n, 5).indices.tolist() == list(range(G33.n))
+    assert sample_subset(G33, 0, 5).size == 0
     with pytest.raises(ValueError):
         sample_subset(G33, G33.n + 1, 5)
+
+
+def _list_fisher_yates(n, m, seed):
+    """The documented recipe, written out on a full list."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arr = list(range(n))
+    for i in range(m):
+        j = int(rng.integers(i, n))
+        arr[i], arr[j] = arr[j], arr[i]
+    return sorted(arr[:m])
+
+
+@pytest.mark.parametrize("graph", [G33, build_affine_graph(4, 3), build_projective_graph(5, 3)])
+def test_sample_subset_matches_list_fisher_yates(graph):
+    for m in (0, 1, graph.n // 2, graph.n):
+        for seed in (0, 5, 987654321, mix_seed(42, 1, 2)):
+            subset = sample_subset(graph, m, seed)
+            assert subset.indices.tolist() == _list_fisher_yates(graph.n, m, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +239,14 @@ def test_config_validation():
         ExperimentConfig(q=3, d=3, k=2, densities=(0.5,), trials=0, master_seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(q=3, d=3, k=2, densities=(1.5,), trials=1, master_seed=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(q=3, d=3, k=2, densities=(0.5,), trials=1, master_seed=0, family="projective")
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         ExperimentConfig(q=3, d=3, k=0, densities=(0.5,), trials=1, master_seed=0)
 
 
 def test_config_warns_outside_lemma_range():
-    with pytest.warns(UserWarning, match="2k - 1"):
+    with pytest.warns(UserWarning, match="2k - 1") as record:
         ExperimentConfig(q=3, d=3, k=3, densities=(0.5,), trials=1, master_seed=0)
+    assert record[0].filename == __file__  # the caller's line, not dataclass's __init__
 
 
 def test_resolve_size_rejects_degenerate():
@@ -249,7 +267,10 @@ def test_run_experiment_row_grid():
     assert [(r.m, r.trial) for r in rows] == [
         (m, t) for m in (7, 15, 26) for t in range(5)
     ]
-    assert all(CSV_COLUMNS == tuple(r.__dataclass_fields__) for r in rows)
+    assert CSV_COLUMNS == (
+        "q", "d", "k", "m", "trial", "observed", "predicted_main", "predicted_alon",
+        "relative_error", "validity_margin", "threshold_new", "threshold_old", "seed_used",
+    )
 
 
 def test_full_density_rows_are_identical():

@@ -19,7 +19,7 @@ import orthocount
 from orthocount import spectral
 from orthocount.asymptotics import CSV_COLUMNS
 from orthocount.cli import main
-from orthocount.graphs import build_affine_graph, parse_graph_export
+from orthocount.graphs import build_affine_graph
 
 
 SRC_DIR = Path(orthocount.__file__).resolve().parents[1]
@@ -175,8 +175,7 @@ def test_build_export(tmp_path, capsys):
     assert main(["build", "--family", "affine", "--q", "3", "--d", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "affine 3 3 26 8"
-    parsed = parse_graph_export(lines)
-    assert parsed["rows"] == list(build_affine_graph(3, 3).rows)
+    assert [int(line, 16) for line in lines[1:]] == list(build_affine_graph(3, 3).rows)
 
 
 def test_build_to_stdout(capsys):
@@ -279,6 +278,14 @@ def test_count_rejects_non_vertex(tmp_path, capsys):
     assert main(["count", "--q", "3", "--d", "3", "--k", "2", "--subset", str(subset)]) == 1
 
 
+def test_count_rejects_repeated_vector(tmp_path, capsys):
+    subset = tmp_path / "subset.txt"
+    subset.write_text("0,1,0\n1,0,0\n0,0,1\n1,0,0\n0,1,0\n")
+    assert main(["count", "--q", "3", "--d", "3", "--k", "2", "--subset", str(subset)]) == 1
+    # (1, 0, 0) is vertex 0 and repeats before (0, 1, 0) does
+    assert capsys.readouterr().err == "orthocount: error: duplicate vertex index 0\n"
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
@@ -340,6 +347,18 @@ def test_experiment_rejects_k_below_one(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg), "--out-csv", str(out_csv)]) == 1
     assert capsys.readouterr().err == "orthocount: error: k must be >= 1, got 0\n"
     assert not out_csv.exists()
+
+
+def test_experiment_below_lemma_range_warns_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace("d = 3", "d = 4").replace("k = 2", "k = 3"))
+    out_csv = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg), "--out-csv", str(out_csv)]) == 0
+    assert capsys.readouterr().err == (
+        "orthocount: warning: d = 4 is below 2k - 1 = 5; the counting lemma's "
+        "hypothesis is violated and predictions may be off\n"
+    )
+    assert out_csv.read_text().count("\n") == 5  # header and 2 x 2 rows
 
 
 def test_experiment_missing_config_is_runtime_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from field_oracle import naive_dot
@@ -24,13 +25,44 @@ G34 = build_affine_graph(3, 4)
 
 def test_subset_constructors():
     full = VertexSubset.full(G33)
-    assert full.size == 26 and full.members == (1 << 26) - 1
+    assert full.size == 26 and full.indices.tolist() == list(range(26))
     sub = VertexSubset.from_indices(G33, [3, 1, 2])
-    assert sub.size == 3 and sorted(sub.indices()) == [1, 2, 3]
+    assert sub.size == 3 and sub.indices.tolist() == [1, 2, 3]
+    assert sub.indices.dtype == np.int64
+    assert VertexSubset.from_indices(G33, []).size == 0
     with pytest.raises(ValueError):
         VertexSubset.from_indices(G33, [0, 0])
     with pytest.raises(ValueError):
         VertexSubset.from_indices(G33, [26])
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([5, 3, 5, 3], "duplicate vertex index 5"),
+        ([3, 5, 5, 3], "duplicate vertex index 5"),
+        ([1, 2, 2, 26], "duplicate vertex index 2"),
+        ([1, 26, 2, 2], r"vertex index 26 out of range \[0, 26\)"),
+        ([4, -1, 30, 4], r"vertex index -1 out of range \[0, 26\)"),
+        ([30, 30], r"vertex index 30 out of range \[0, 26\)"),
+        ([3, 2**70], r"vertex index 1180591620717411303424 out of range"),
+    ],
+)
+def test_subset_from_indices_names_first_bad_index(indices, message):
+    with pytest.raises(ValueError, match=message):
+        VertexSubset.from_indices(G33, indices)
+
+
+@pytest.mark.parametrize("graph", [G33, G34, build_projective_graph(4, 3)])
+def test_subset_weights_are_class_bincount(graph):
+    rng = random.Random(graph.n)
+    for m in (0, 1, graph.n // 3, graph.n):
+        picks = rng.sample(range(graph.n), m)
+        weights = VertexSubset.from_indices(graph, picks).weights
+        expected = [0] * len(graph.classes)
+        for i in picks:
+            expected[i // graph.blowup] += 1
+        assert weights.tolist() == expected
 
 
 def test_subset_from_vectors_rejects_zero():
@@ -46,7 +78,7 @@ def test_subset_order_independence():
     random.Random(5).shuffle(shuffled)
     a = VertexSubset.from_indices(G33, indices)
     b = VertexSubset.from_indices(G33, shuffled)
-    assert a.members == b.members
+    assert a.indices.tolist() == b.indices.tolist() == indices
     assert count_ordered_tuples(a, 3) == count_ordered_tuples(b, 3)
 
 
