@@ -21,7 +21,7 @@ from .asymptotics import (
     threshold_old,
     validity_margin,
 )
-from .counting import VertexSubset, count_ordered_tuples, count_ordered_tuples_oracle
+from .counting import VertexSubset, count_ordered_tuples
 from .errors import BoundExceededError, OrthocountError
 from .fields import Field, field_from_order, make_field
 from .graphs import (

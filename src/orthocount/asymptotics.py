@@ -158,7 +158,7 @@ def sample_subset(graph: OrthoGraph, m: int, seed: int) -> VertexSubset:
         j = int(rng.integers(i, graph.n))
         picks.append(moved.get(j, j))
         moved[j] = moved.pop(i, i)
-    return VertexSubset(graph, np.sort(np.array(picks, dtype=np.int64)))
+    return VertexSubset(graph, np.sort(picks))
 
 
 @dataclass(frozen=True)
@@ -269,10 +269,12 @@ def run_experiment(
     subsets for every density x trial combination.  Rows come out in
     (density index, trial index) order and depend only on the config."""
     q, d, k = config.q, config.d, config.k
-    graph = build_affine_graph(q, d, max_vertices=max_vertices)
-    scale = math.factorial(k)
+    # the thresholds come first: for a huge k they overflow before the
+    # graph is built or k! is taken
     t_new = threshold_new(q, d, k)
     t_old = threshold_old(q, d, k)
+    graph = build_affine_graph(q, d, max_vertices=max_vertices)
+    scale = math.factorial(k)
     rows: list[CountReport] = []
     for density_index, density in enumerate(config.densities):
         m = config.resolve_size(density, graph.n)

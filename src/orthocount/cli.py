@@ -110,19 +110,16 @@ def _cmd_count(args) -> int:
 def _cmd_predict(args) -> int:
     q, d, k, m = args.q, args.d, args.k, args.m
     field_from_order(q)  # rejects an order that is no prime power
-    try:
-        # the thresholds come first: for a huge d or k they overflow before
-        # q**d or m**k is taken
-        t_new = asymptotics.threshold_new(q, d, k)
-        t_old = asymptotics.threshold_old(q, d, k)
-        payload = {
-            "lambda_k_formula": asymptotics.predict_tuple_count(m, q, k),
-            "alon_formula": asymptotics.predict_copy_count(m, q**d - 1, q ** (d - 1) - 1, k),
-            "threshold_new": t_new,
-            "threshold_old": t_old,
-        }
-    except OverflowError:
-        raise OrthocountError("a prediction exceeds the floating-point range") from None
+    # the thresholds come first: for a huge d or k they overflow before
+    # q**d or m**k is taken
+    t_new = asymptotics.threshold_new(q, d, k)
+    t_old = asymptotics.threshold_old(q, d, k)
+    payload = {
+        "lambda_k_formula": asymptotics.predict_tuple_count(m, q, k),
+        "alon_formula": asymptotics.predict_copy_count(m, q**d - 1, q ** (d - 1) - 1, k),
+        "threshold_new": t_new,
+        "threshold_old": t_old,
+    }
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -194,6 +191,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (OrthocountError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"orthocount: error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        print("orthocount: error: a prediction exceeds the floating-point range", file=sys.stderr)
         return 1
 
 

@@ -2,31 +2,31 @@
 
 A k-tuple of distinct, pairwise orthogonal subset members is an ordered
 copy of K_k in the orthogonality graph, so the K_k copy count is the
-ordered count divided by k!.  Two routes are kept deliberately
-independent:
+ordered count divided by k!.
 
-* count_ordered_tuples_oracle enumerates every ordered tuple of distinct
-  subset members and tests all pairs on the graph's vertex rows, with no
-  pruning.  It is the ground truth for small instances.
-* count_ordered_tuples works on the class graph alone (see graphs), for
-  both families.  A subset S is its sorted vertex indices, and its class
-  weights w_c = |S ∩ class c| are their per-class bincount.  A set of
-  distinct, pairwise adjacent members meets a set C of classes that is a
-  clique of the class graph (diagonal excluded); it takes j_c >= 1 members
-  of each class c in C, and j_c >= 2 only when c is isotropic, since two
-  multiples of x are orthogonal exactly when x.x = 0.  Hence
+count_ordered_tuples works on the class graph alone (see graphs), for
+both families.  A subset S is its sorted vertex indices, and its class
+weights w_c = |S ∩ class c| are their per-class bincount.  A set of
+distinct, pairwise adjacent members meets a set C of classes that is a
+clique of the class graph (diagonal excluded); it takes j_c >= 1 members
+of each class c in C, and j_c >= 2 only when c is isotropic, since two
+multiples of x are orthogonal exactly when x.x = 0.  Hence
 
-      ordered k-tuples = k! * [x^k] sum over class cliques C of
-                         prod_{c in C} g_c(x),
-      g_c(x) = (1 + x)^(w_c) - 1   if c is isotropic,
-      g_c(x) = w_c * x             otherwise.
+    ordered k-tuples = k! * [x^k] sum over class cliques C of
+                       prod_{c in C} g_c(x),
+    g_c(x) = (1 + x)^(w_c) - 1   if c is isotropic,
+    g_c(x) = w_c * x             otherwise.
 
-  The projective family is the case w_c in {0, 1}.  Class cliques are
-  enumerated by candidate bit-vector intersection in ascending class
-  order, and only cliques of at most k classes reach x^k.  A clique of
-  k - 1 classes grows by one more class c, adding w_c times its [x^(k-1)],
-  so the last level is a weighted popcount of the candidate set over the
-  bitplanes of the weights (about log2(q) of them).
+The projective family is the case w_c in {0, 1}.  Class cliques are
+enumerated by candidate bit-vector intersection in ascending class
+order, and only cliques of at most k classes reach x^k.  A clique of
+k - 1 classes grows by one more class c, adding w_c times its [x^(k-1)],
+so the last level is a weighted popcount of the candidate set over the
+bitplanes of the weights (about log2(q) of them).
+
+The independent slow route lives in the test suite (tests/count_oracle.py):
+it enumerates every ordered tuple of distinct members and tests all pairs
+with schoolbook field arithmetic, sharing no code with the graph builder.
 
 Tuples require distinct entries throughout, so diagonal bits never
 contribute; counts are exact Python integers end to end.
@@ -37,16 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundExceededError
 from .graphs import OrthoGraph
 from .vectors import Vector
-
-DEFAULT_ORACLE_WORK = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +53,12 @@ class VertexSubset:
 
     graph: OrthoGraph
     indices: np.ndarray
+
+    def __post_init__(self):
+        # a private read-only copy, since weights is cached from it
+        indices = np.array(self.indices, dtype=np.int64)
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
 
     @property
     def size(self) -> int:
@@ -69,7 +71,7 @@ class VertexSubset:
 
     @classmethod
     def full(cls, graph: OrthoGraph) -> "VertexSubset":
-        return cls(graph, np.arange(graph.n, dtype=np.int64))
+        return cls(graph, np.arange(graph.n))
 
     @classmethod
     def from_indices(cls, graph: OrthoGraph, indices: Iterable[int]) -> "VertexSubset":
@@ -83,7 +85,7 @@ class VertexSubset:
             if 0 <= i < graph.n:
                 raise ValueError(f"duplicate vertex index {i}")
             raise ValueError(f"vertex index {i} out of range [0, {graph.n})")
-        return cls(graph, ordered.astype(np.int64))
+        return cls(graph, ordered)
 
     @classmethod
     def from_vectors(cls, graph: OrthoGraph, vecs: Iterable[Vector]) -> "VertexSubset":
@@ -96,33 +98,6 @@ class VertexSubset:
                 )
             indices.append(graph.vertex_index(v))
         return cls.from_indices(graph, indices)
-
-
-def count_ordered_tuples_oracle(
-    subset: VertexSubset, k: int, max_work: int = DEFAULT_ORACLE_WORK
-) -> int:
-    """Reference count of ordered k-tuples of distinct, pairwise adjacent
-    members, by brute enumeration.  Small instances only."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    m = subset.size
-    if m**k > max_work:
-        raise BoundExceededError(f"oracle work m^k = {m}^{k} exceeds bound {max_work}")
-    rows = subset.graph.rows
-    count = 0
-    for tup in permutations(subset.indices.tolist(), k):
-        ok = True
-        for i in range(k - 1):
-            row = rows[tup[i]]
-            for j in range(i + 1, k):
-                if not (row >> tup[j]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def _weighted_clique_sum(rows: Sequence[int], loops: int, weights: np.ndarray, k: int) -> int:
@@ -187,8 +162,7 @@ def _weighted_clique_sum(rows: Sequence[int], loops: int, weights: np.ndarray, k
 
 def count_ordered_tuples(subset: VertexSubset, k: int) -> int:
     """Fast path: k! times the weighted class-clique sum of the module
-    docstring, on the class rows.  Agrees exactly with
-    count_ordered_tuples_oracle wherever both run."""
+    docstring, on the class rows."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if subset.size < k:

@@ -7,4 +7,4 @@ class OrthocountError(Exception):
 
 class BoundExceededError(OrthocountError):
     """A configured resource bound (field order, enumeration size,
-    dense-matrix size, oracle work) would be exceeded."""
+    dense-matrix size) would be exceeded."""

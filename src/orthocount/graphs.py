@@ -2,10 +2,11 @@
 
 Both families put an edge between x and y exactly when x.y = 0, including
 x = y (self-orthogonal vectors carry loops).  Adjacency is held as one
-arbitrary-precision Python integer per vertex, bit j of row i meaning
-"i adjacent to j"; bitwise AND on these rows is the performance core of
-clique counting.  A loop contributes exactly 1 to its row's population
-count, which keeps every row sum equal to the common degree.
+arbitrary-precision Python integer per class, bit j of row i meaning
+"class i adjacent to class j"; bitwise AND on these rows is the
+performance core of clique counting.  A loop contributes exactly 1 to its
+row's population count, which keeps every class row sum equal to the
+common class degree.
 
 Orthogonality is computed once, on the projective classes: a graph stores
 the class representatives in encoding order, one class row per
@@ -16,17 +17,16 @@ nonzero scalars s, t, and it is held as the same class data with blow-up
 factor q - 1.  Its vertex i is the multiple ((i mod (q-1)) + 1) times
 representative i // (q-1), so classes form contiguous blocks of size
 q - 1, the ordering the block-diagonal spectral identity relies on; its
-row i is class row i // (q-1) with every bit widened to q - 1 bits.  The
-vertex, row and loop views of the all-vectors graph are derived from the
-class data on first use only (export, spectral checks, vertex lookup and
-the counting oracle); counting reads the class rows.
+row i is class row i // (q-1) with every bit widened to q - 1 bits.
+Only the export, the dense adjacency matrix of the spectral check and
+the vertex lookup expand the class data to vertices; counting reads the
+class rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import IO
 
 import numpy as np
@@ -87,26 +87,6 @@ class OrthoGraph:
         codes = prods @ field.p ** np.arange(field.e, dtype=np.int64)
         return tuple(map(tuple, codes.reshape(self.n, self.d).tolist()))
 
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """Adjacency row of every vertex; the q - 1 vertices of a class
-        share one row object."""
-        count, b = len(self.classes), self.blowup
-        return tuple(row for c in self.class_rows for row in repeat(_widen(c, count, b), b))
-
-    @cached_property
-    def loops(self) -> int:
-        return _widen(self.class_loops, len(self.classes), self.blowup)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.class_rows[i // self.blowup] >> (j // self.blowup)) & 1)
-
-    def has_loop(self, i: int) -> bool:
-        return bool((self.class_loops >> (i // self.blowup)) & 1)
-
-    def loop_count(self) -> int:
-        return self.class_loops.bit_count() * self.blowup
-
     def vertex_index(self, v: Vector) -> int:
         try:
             return self._index[v]
@@ -114,13 +94,17 @@ class OrthoGraph:
             raise ValueError(f"{v} is not a vertex of this graph") from None
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix as int64, unpacked from the bit rows."""
-        nbytes = (self.n + 7) // 8
+        """Dense 0/1 matrix as int64: the class rows unpacked and every
+        entry expanded to a blowup x blowup block."""
+        count, b = len(self.classes), self.blowup
+        nbytes = (count + 7) // 8
         packed = np.frombuffer(
-            b"".join(row.to_bytes(nbytes, "little") for row in self.rows), dtype=np.uint8
-        ).reshape(self.n, nbytes)
-        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, : self.n]
-        return bits.astype(np.int64)
+            b"".join(row.to_bytes(nbytes, "little") for row in self.class_rows), dtype=np.uint8
+        ).reshape(count, nbytes)
+        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :count]
+        # cast a broadcast view, so no uint8 copy of the n x n matrix is made
+        blocks = np.broadcast_to(bits[:, None, :, None], (count, b, count, b))
+        return blocks.astype(np.int64).reshape(self.n, self.n)
 
     @cached_property
     def _index(self) -> dict[Vector, int]:
@@ -217,7 +201,7 @@ def export_graph(graph: OrthoGraph, stream: IO[str]) -> None:
     zero-padded to ceil(n/4) digits; bit j marks adjacency to vertex j)."""
     stream.write(f"{graph.family} {graph.q} {graph.d} {graph.n} {graph.degree}\n")
     width = (graph.n + 3) // 4
-    for row in graph.rows:
-        stream.write(format(row, f"0{width}x"))
-        stream.write("\n")
-
+    count, b = len(graph.classes), graph.blowup
+    for row in graph.class_rows:
+        # the b vertices of a class share its widened row
+        stream.write((format(_widen(row, count, b), f"0{width}x") + "\n") * b)

@@ -22,7 +22,7 @@ from orthocount.asymptotics import (
     threshold_old,
     validity_margin,
 )
-from orthocount.counting import count_ordered_tuples
+from orthocount.counting import VertexSubset, count_ordered_tuples
 from orthocount.graphs import build_affine_graph, build_projective_graph
 
 G33 = build_affine_graph(3, 3)
@@ -302,7 +302,7 @@ def test_full_space_error_vanishes_along_q():
     errors = []
     for q in (3, 5, 7):
         g = build_affine_graph(q, 3)
-        observed = g.n * g.degree - g.loop_count()  # exact ordered pairs
+        observed = count_ordered_tuples(VertexSubset.full(g), 2)  # exact ordered pairs
         predicted = math.factorial(2) * predict_tuple_count(g.n, q, 2)
         errors.append(abs(observed - predicted) / predicted)
     assert errors[0] > errors[1] > errors[2]

@@ -157,6 +157,24 @@ def test_huge_arguments_fail_fast(args):
     assert_one_error_line(result)
 
 
+@pytest.mark.parametrize("k", [1000, 3_000_000])
+def test_huge_k_experiment_fails_fast(tmp_path, k):
+    # the thresholds overflow before the graph is built or k! is taken
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"q = 3\nd = 4\nk = {k}\ndensities = 0.5\ntrials = 1\nseed = 1\n")
+    out_csv = tmp_path / "out.csv"
+    result = run_cli(
+        "experiment", "--config", str(cfg), "--out-csv", str(out_csv),
+        timeout=20, address_space=2 << 30,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    warning, error = result.stderr.splitlines()
+    assert warning.startswith("orthocount: warning: d = 4 is below 2k - 1")
+    assert error == "orthocount: error: a prediction exceeds the floating-point range"
+    assert not out_csv.exists()
+
+
 def test_predict_large_clique(capsys):
     # |Aut(K_9)| = 9! without enumerating permutations of 9 vertices
     assert main(["predict", "--q", "3", "--d", "4", "--k", "9", "--m", "100"]) == 0
@@ -175,7 +193,10 @@ def test_build_export(tmp_path, capsys):
     assert main(["build", "--family", "affine", "--q", "3", "--d", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "affine 3 3 26 8"
-    assert [int(line, 16) for line in lines[1:]] == list(build_affine_graph(3, 3).rows)
+    adjacency = build_affine_graph(3, 3).adjacency_matrix()
+    assert [int(line, 16) for line in lines[1:]] == [
+        int("".join(map(str, row[::-1])), 2) for row in adjacency
+    ]
 
 
 def test_build_to_stdout(capsys):

@@ -2,11 +2,12 @@
 
 import io
 
+import numpy as np
 import pytest
+from count_oracle import oracle_vertex
 from field_oracle import naive_dot, naive_scale, nonzero_vectors
 
 from orthocount.errors import BoundExceededError
-from orthocount.fields import make_field
 from orthocount.graphs import (
     build_affine_graph,
     build_projective_graph,
@@ -26,7 +27,7 @@ def test_projective_parameters(q, d):
     n, degree = closed_form(q, d, "projective")
     assert (g.n, g.degree) == (n, degree)
     assert len(g.vertices) == n
-    assert all(g.rows[i].bit_count() == degree for i in range(n))
+    assert (g.adjacency_matrix().sum(axis=1) == degree).all()
 
 
 @pytest.mark.parametrize("q,d", [(2, 3), (3, 3), (3, 4), (4, 3), (5, 4)])
@@ -34,7 +35,7 @@ def test_affine_parameters(q, d):
     g = build_affine_graph(q, d)
     n, degree = closed_form(q, d, "affine")
     assert (g.n, g.degree) == (n, degree)
-    assert all(g.rows[i].bit_count() == degree for i in range(n))
+    assert (g.adjacency_matrix().sum(axis=1) == degree).all()
 
 
 def test_projective_small_examples():
@@ -47,29 +48,29 @@ def test_projective_small_examples():
 def test_projective_loop_at_all_ones_class():
     g = build_projective_graph(3, 3)
     i = g.vertex_index((1, 1, 1))
-    assert g.has_loop(i)
-    assert g.has_edge(i, i)
+    assert (g.class_loops >> i) & 1
+    assert g.adjacency_matrix()[i, i] == 1
 
 
 def test_adjacency_is_symmetric():
     for g in (build_projective_graph(3, 3), build_affine_graph(3, 3), build_affine_graph(4, 2)):
-        for i in range(g.n):
-            for j in range(g.n):
-                assert g.has_edge(i, j) == g.has_edge(j, i)
+        a = g.adjacency_matrix()
+        assert (a == a.T).all()
 
 
 def test_loops_mirror_diagonal_and_self_orthogonality():
     g = build_affine_graph(3, 3)
+    diagonal = np.diagonal(g.adjacency_matrix())
     for i, v in enumerate(g.vertices):
         self_orth = naive_dot(g.field, v, v) == 0
-        assert g.has_loop(i) == self_orth == g.has_edge(i, i)
+        assert (g.class_loops >> (i // g.blowup)) & 1 == self_orth == diagonal[i]
 
 
 def test_affine_neighbors_example_gf2_d2():
     g = build_affine_graph(2, 2)
     i = g.vertex_index((1, 0))
-    row = g.rows[i]
-    neighbors = [g.vertices[j] for j in range(g.n) if (row >> j) & 1]
+    row = g.adjacency_matrix()[i]
+    neighbors = [g.vertices[j] for j in range(g.n) if row[j]]
     assert neighbors == [(0, 1)]
 
 
@@ -78,7 +79,8 @@ def test_affine_gf2_equals_projective():
         ga = build_affine_graph(2, d)
         gp = build_projective_graph(2, d)
         assert ga.vertices == gp.vertices
-        assert ga.rows == gp.rows
+        assert ga.class_rows == gp.class_rows
+        assert (ga.adjacency_matrix() == gp.adjacency_matrix()).all()
 
 
 def test_affine_vertices_in_class_blocks():
@@ -96,54 +98,52 @@ def test_affine_scaling_invariance_exhaustive(q, d):
     # adjacency depends only on the projective classes: bit(ax, by) = bit(x, y)
     g = build_affine_graph(q, d)
     field = g.field
+    adj = g.adjacency_matrix()
     for i, x in enumerate(g.vertices):
         for j, y in enumerate(g.vertices):
             for a in range(1, q):
                 for b in range(1, q):
                     ia = g.vertex_index(naive_scale(field, a, x))
                     jb = g.vertex_index(naive_scale(field, b, y))
-                    assert g.has_edge(ia, jb) == g.has_edge(i, j)
+                    assert adj[ia, jb] == adj[i, j]
+
+
+def export_bits(g):
+    """The exported rows of g as a 0/1 matrix, bit j of line i at [i, j]."""
+    buf = io.StringIO()
+    export_graph(g, buf)
+    lines = buf.getvalue().splitlines()[1:]
+    return np.array([[(int(line, 16) >> j) & 1 for j in range(g.n)] for line in lines])
 
 
 @pytest.mark.parametrize("q,d", [(3, 3), (4, 3), (5, 3), (9, 2), (8, 2), (16, 2)])
 def test_derived_affine_views_match_pairwise_dot(q, d):
-    # rows and loops are widened from the class graph; check them against
-    # naive dot products over all nonzero vectors
-    g = build_affine_graph(q, d)
-    field = g.field
-    assert sorted(g.vertices) == sorted(nonzero_vectors(q, d))
-    assert len(g.rows) == g.n
-    for i, x in enumerate(g.vertices):
-        expected = sum(1 << j for j, y in enumerate(g.vertices) if naive_dot(field, x, y) == 0)
-        assert g.rows[i] == expected
-        assert (g.loops >> i) & 1 == (naive_dot(field, x, x) == 0)
-    assert g.loops >> g.n == 0
+    # the vertex-level views expanded from the class data, the export lines
+    # and the dense matrix, of both families against schoolbook dot
+    # products of the vertices in the documented order
+    for g in (build_projective_graph(q, d), build_affine_graph(q, d)):
+        vertices = [oracle_vertex(g, i) for i in range(g.n)]
+        expected = np.array([[naive_dot(g.field, x, y) == 0 for y in vertices] for x in vertices])
+        assert (g.adjacency_matrix() == expected).all()
+        assert (export_bits(g) == expected).all()
 
 
 def test_affine_loop_count_is_blowup_of_projective():
     for q, d in [(3, 3), (5, 3), (3, 4), (4, 3)]:
         gp = build_projective_graph(q, d)
         ga = build_affine_graph(q, d)
-        assert ga.loop_count() == (q - 1) * gp.loop_count()
+        assert ga.class_loops == gp.class_loops
+        loops = np.trace(gp.adjacency_matrix())
+        assert loops == gp.class_loops.bit_count()
+        assert np.trace(ga.adjacency_matrix()) == (q - 1) * loops
 
 
 def test_affine_restricted_to_representatives_matches_projective():
     q, d = 5, 3
     gp = build_projective_graph(q, d)
     ga = build_affine_graph(q, d)
-    rep_positions = [block * (q - 1) for block in range(gp.n)]
-    for bi, i in enumerate(rep_positions):
-        for bj, j in enumerate(rep_positions):
-            assert ga.has_edge(i, j) == gp.has_edge(bi, bj)
-
-
-def test_extension_field_graph():
-    g = build_projective_graph(4, 3)
-    assert (g.n, g.degree) == (21, 5)
-    field = make_field(2, 2)
-    for i in range(g.n):
-        for j in range(g.n):
-            assert g.has_edge(i, j) == (naive_dot(field, g.vertices[i], g.vertices[j]) == 0)
+    # vertex block * (q - 1) is the class representative itself
+    assert (ga.adjacency_matrix()[:: q - 1, :: q - 1] == gp.adjacency_matrix()).all()
 
 
 def test_vertex_index_lookup():
@@ -164,7 +164,8 @@ def test_dense_bound_enforced():
 def test_construction_is_deterministic():
     a = build_affine_graph(3, 3)
     b = build_affine_graph(3, 3)
-    assert a.vertices == b.vertices and a.rows == b.rows and a.loops == b.loops
+    assert a.vertices == b.vertices
+    assert a.class_rows == b.class_rows and a.class_loops == b.class_loops
 
 
 def test_export_round_trip():
@@ -176,13 +177,14 @@ def test_export_round_trip():
     assert lines[0] == "affine 3 3 26 8"
     assert len(lines) == 1 + g.n
     assert all(len(line) == (g.n + 3) // 4 for line in lines[1:])
-    assert [int(line, 16) for line in lines[1:]] == list(g.rows)
+    assert (export_bits(g) == g.adjacency_matrix()).all()
 
 
 def test_adjacency_matrix_matches_rows():
-    g = build_affine_graph(3, 3)
-    a = g.adjacency_matrix()
-    for i in range(g.n):
-        for j in range(g.n):
-            assert a[i, j] == int(g.has_edge(i, j))
-    assert (a == a.T).all()
+    # entry (i, j) is bit j // b of class row i // b, b = blowup
+    for g in (build_affine_graph(3, 3), build_projective_graph(4, 3)):
+        a = g.adjacency_matrix()
+        b = g.blowup
+        for i in range(g.n):
+            for j in range(g.n):
+                assert a[i, j] == (g.class_rows[i // b] >> (j // b)) & 1

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from field_oracle import naive_dot
 
 from orthocount.errors import BoundExceededError
 from orthocount.graphs import build_affine_graph, build_projective_graph
@@ -113,9 +114,12 @@ def test_corrupted_violations_are_frozen(family, q, d):
 
 
 def test_trace_equals_loop_count():
+    # the loops are the self-orthogonal vertices: the isotropic classes,
+    # each blown up to blowup vertices
     for q, d in [(2, 3), (3, 3), (5, 3), (4, 3), (3, 4)]:
         for g in (build_projective_graph(q, d), build_affine_graph(q, d)):
-            assert int(np.trace(g.adjacency_matrix())) == g.loop_count()
+            isotropic = sum(naive_dot(g.field, v, v) == 0 for v in g.classes)
+            assert int(np.trace(g.adjacency_matrix())) == isotropic * g.blowup
 
 
 def test_trace_of_square_is_n_times_degree():
@@ -142,13 +146,14 @@ def test_affine_row_sum_identity(q, d):
 
 
 def test_common_neighborhood_spot_check():
-    # the verified identity implies |N(i) & N(j)| = mu for i != j
+    # the verified identity implies |N(i) & N(j)| = mu for i != j; the
+    # projective graph's vertex rows are its class rows
     g = build_projective_graph(5, 3)
     mu = 1
     rng = random.Random(7)
     pairs = {(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(100)}
     for i, j in pairs:
-        common = (g.rows[i] & g.rows[j]).bit_count()
+        common = (g.class_rows[i] & g.class_rows[j]).bit_count()
         if i == j:
             assert common == g.degree
         else:

@@ -25,13 +25,13 @@ def test_dot_examples():
     ]:
         g = build_affine_graph(q, len(u))
         assert naive_dot(g.field, u, v) == value
-        assert g.has_edge(g.vertex_index(u), g.vertex_index(v)) == (value == 0)
+        assert g.adjacency_matrix()[g.vertex_index(u), g.vertex_index(v)] == (value == 0)
 
 
 def test_is_orthogonal_examples():
     for q, v, loop in [(3, (1, 1, 1), True), (2, (1, 0), False), (5, (1, 2), True)]:
         g = build_affine_graph(q, len(v))
-        assert g.has_loop(g.vertex_index(v)) == loop
+        assert g.adjacency_matrix()[g.vertex_index(v), g.vertex_index(v)] == loop
 
 
 def test_enumeration_order_gf2_d2():
@@ -94,8 +94,9 @@ def test_bilinearity_exhaustive_gf3_d2():
     # addition and nonzero scaling
     g = build_affine_graph(3, 3)
     field = g.field
+    adj = g.adjacency_matrix()
     for i, v in enumerate(g.vertices):
-        perp = {u for j, u in enumerate(g.vertices) if g.has_edge(i, j)} | {(0, 0, 0)}
+        perp = {u for j, u in enumerate(g.vertices) if adj[i, j]} | {(0, 0, 0)}
         assert len(perp) == 9
         for u in perp:
             assert naive_scale(field, 2, u) in perp
